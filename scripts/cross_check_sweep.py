@@ -16,7 +16,7 @@ import numpy as np
 
 from xidist.harness import CrossCheckConfig, run_cross_check
 from xidist.levy import PrimeCutoff
-from xidist.zeros import counting_estimate, ensure_cache
+from xidist.zeros import ensure_cache, gamma_ceiling
 
 
 def main() -> int:
@@ -30,10 +30,7 @@ def main() -> int:
     ap.add_argument("--prefix", default="cross_check")
     args = ap.parse_args()
 
-    t_ceiling = 100.0
-    while counting_estimate(t_ceiling) < args.k_zeros + 2:
-        t_ceiling *= 1.25
-    zl = ensure_cache(t_ceiling, args.cache, progress=sys.stderr)
+    zl = ensure_cache(gamma_ceiling(args.k_zeros), args.cache, progress=sys.stderr)
     config = CrossCheckConfig(
         zero_list=zl, k_zeros=args.k_zeros, cut=PrimeCutoff(args.p_max, 40)
     )

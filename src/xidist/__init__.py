@@ -14,7 +14,6 @@ from .accuracy import (
     AccuracyError,
     CacheChecksumError,
     CacheParseError,
-    ComplexValue,
     DomainError,
     EvalAccuracy,
     InsufficientZerosError,
@@ -34,7 +33,6 @@ __all__ = [
     "AccuracyError",
     "CacheChecksumError",
     "CacheParseError",
-    "ComplexValue",
     "DensityTable",
     "DomainError",
     "EvalAccuracy",

@@ -11,34 +11,23 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
-# The universal currency of the evaluator stack: a plain Python complex,
-# with .real / .imag as the accessors.  No wrapper type is needed.
-ComplexValue = complex
-
 
 @dataclass(frozen=True)
 class EvalAccuracy:
     """Truncation/tolerance control for series and quadrature.
 
-    At least one of abs_tol / rel_tol must be strictly positive;
-    max_terms caps any internally adaptive expansion.
+    abs_tol must be strictly positive; max_terms caps any internally
+    adaptive expansion.
     """
 
     abs_tol: float = 1e-12
-    rel_tol: float = 1e-12
     max_terms: int = 200_000
 
     def __post_init__(self):
-        if self.abs_tol < 0 or self.rel_tol < 0:
-            raise ValueError("tolerances must be nonnegative")
-        if self.abs_tol == 0 and self.rel_tol == 0:
-            raise ValueError("at least one of abs_tol/rel_tol must be positive")
+        if not self.abs_tol > 0:
+            raise ValueError("abs_tol must be positive")
         if self.max_terms < 1:
             raise ValueError("max_terms must be a positive integer")
-
-    def bound(self, scale: float) -> float:
-        """Absolute error budget for a quantity of magnitude ``scale``."""
-        return max(self.abs_tol, self.rel_tol * abs(scale))
 
 
 DEFAULT_ACCURACY = EvalAccuracy()
@@ -88,7 +77,7 @@ class MeasureDivergenceError(RuntimeError):
         self.partials = tuple(partials)
 
 
-def ensure_finite(s: ComplexValue, what: str = "argument") -> complex:
+def ensure_finite(s: complex, what: str = "argument") -> complex:
     """Reject NaN/inf inputs up front instead of letting them propagate."""
     z = complex(s)
     if not (cmath.isfinite(z)):

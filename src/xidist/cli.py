@@ -1,22 +1,23 @@
 """Command-line surface: evaluation, density tables, sampling, zero-cache
 management, and verification sweeps.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.  All numeric
-output uses 15 significant digits, so identical invocations over identical
-caches are byte-identical.  The zero cache location defaults to
-$XIDIST_ZERO_CACHE (falling back to ./xidist_zeros.txt) and is built on
-demand, with a progress line on standard error.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numerical
+or data failure (a tolerance that cannot be met, an incomplete zero list, a
+malformed cache, an I/O error); errors are one ``error:`` line on standard
+error.  All numeric output uses 15 significant digits, so identical
+invocations over identical caches are byte-identical.  The zero cache
+location defaults to $XIDIST_ZERO_CACHE (falling back to ./xidist_zeros.txt)
+and is built on demand, with a progress line on standard error.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 import numpy as np
 
-from .accuracy import DomainError
+from .accuracy import AccuracyError, CacheChecksumError, CacheParseError, DomainError, MissedZeroError
 from .distribution import XiDistribution
 from .harness import (
     CrossCheckConfig,
@@ -26,7 +27,7 @@ from .harness import (
     run_zero_convergence,
 )
 from .levy import PrimeCutoff, cf_from_triplet, cf_from_zeros, xi_triplet
-from .zeros import counting_estimate, ensure_cache
+from .zeros import ensure_cache, gamma_ceiling
 
 _BACKENDS = ("direct", "density", "zeros", "primes", "xi_star")
 
@@ -38,21 +39,6 @@ def _fmt(x: float) -> str:
     return out
 
 
-def _gamma_ceiling(n_zeros: int) -> float:
-    """Tight ordinate below which the counting estimate promises n_zeros zeros."""
-    hi = 100.0
-    while counting_estimate(hi) < n_zeros + 2:
-        hi *= 1.25
-    lo = hi / 1.25
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if counting_estimate(mid) < n_zeros + 2:
-            lo = mid
-        else:
-            hi = mid
-    return math.ceil(hi)
-
-
 def _cmd_eval(args) -> int:
     dist = XiDistribution(args.sigma)
     if args.backend == "direct":
@@ -60,7 +46,7 @@ def _cmd_eval(args) -> int:
     elif args.backend == "density":
         v = dist.cf_from_density(args.t)
     elif args.backend == "zeros":
-        zl = ensure_cache(_gamma_ceiling(args.K), args.cache, progress=sys.stderr)
+        zl = ensure_cache(gamma_ceiling(args.K), args.cache, progress=sys.stderr)
         v = cf_from_zeros(args.sigma, args.t, zl, args.K).value
     elif args.backend == "primes":
         v = cf_from_triplet(xi_triplet(args.sigma, PrimeCutoff(args.p_max, args.r_max)), args.t)
@@ -83,14 +69,7 @@ def _cmd_density(args) -> int:
     dist = XiDistribution(args.sigma)
     ys = np.linspace(lo, hi, n)
     pdf = dist.density_array(ys)
-    # cumulative mass by per-panel Gauss rule, then offset by cdf at the left edge
-    from .distribution import _GL_W, _GL_X
-
-    a, b = ys[:-1], ys[1:]
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    nodes = mid[:, None] + half[:, None] * _GL_X[None, :]
-    masses = (dist.density_array(nodes.ravel()).reshape(nodes.shape) * _GL_W[None, :]).sum(axis=1) * half
-    cdf = dist.cdf(lo) + np.concatenate([[0.0], np.cumsum(masses)])
+    cdf = dist.cdf(lo) + dist.panel_cdf(ys)
     out = args.output if args.output else sys.stdout
     close = False
     if isinstance(out, str):
@@ -126,13 +105,13 @@ def _cmd_verify(args) -> int:
     if args.suite == "cross":
         zl = None
         if args.sigma > 0.5:
-            zl = ensure_cache(_gamma_ceiling(args.K), args.cache, progress=sys.stderr)
+            zl = ensure_cache(gamma_ceiling(args.K), args.cache, progress=sys.stderr)
         config = CrossCheckConfig(zero_list=zl, k_zeros=args.K, cut=PrimeCutoff(args.p_max, args.r_max))
         report = run_cross_check(args.sigma, np.arange(-10.0, 10.25, 0.5), config)
         sys.stdout.write(report.to_csv())
         return 0 if report.passed() else 1
     # convergence
-    zl = ensure_cache(_gamma_ceiling(args.K), args.cache, progress=sys.stderr)
+    zl = ensure_cache(gamma_ceiling(args.K), args.cache, progress=sys.stderr)
     k_list = [k for k in (100, 1000, args.K) if k <= len(zl)]
     try:
         rows = run_zero_convergence(args.sigma, args.t, k_list, zl)
@@ -207,6 +186,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
+    except (AccuracyError, MissedZeroError, CacheParseError, CacheChecksumError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except (DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

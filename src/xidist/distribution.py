@@ -31,32 +31,17 @@ from .accuracy import (
     ensure_finite,
 )
 from .quadrature import fourier_quad, quad_checked
-from .specfun import theta_kernel, theta_sum, xi
+# theta_kernel is not called here; bench/tracing.py wraps it under this module's name
+from .specfun import theta_kernel, theta_sum, xi  # noqa: F401
 
 __all__ = ["XiDistribution", "DensityTable"]
 
 # density support: each series term carries e^{-pi e^{2|y|}}, so beyond
 # |y| = 12 the density is zero to hundreds of digits
 _Y_SUPPORT = 12.0
-# largest pi * e^{2|y|} for which the kernel is representable in float64
-_UNDERFLOW_EXPONENT = 800.0
-
-
-def _series_factor(y: np.ndarray, sigma: float) -> np.ndarray:
-    """sum_n f(n e^{|y|}) * branch weight, vectorized; 0 where it underflows."""
-    y = np.asarray(y, dtype=float)
-    out = np.zeros_like(y)
-    x = np.exp(np.abs(y))
-    alive = math.pi * x * x <= _UNDERFLOW_EXPONENT
-    if np.any(alive):
-        xa = x[alive]
-        n_max = max(1, int(math.ceil(6.6 / float(np.min(xa)))) + 1)
-        n = np.arange(1, n_max + 1, dtype=float)
-        sums = theta_kernel(xa[None, :] * n[:, None]).sum(axis=0)
-        ya = y[alive]
-        weight = np.where(ya <= 0.0, np.exp(-sigma * ya), np.exp((1.0 - sigma) * ya))
-        out[alive] = sums * weight
-    return out
+# beyond this |y| (pi e^{2|y|} > 800) every series term underflows to 0 in float64
+_Y_UNDERFLOW = 0.5 * math.log(800.0 / math.pi)
+_TABLE_NODES = 4001
 
 
 @dataclass(frozen=True)
@@ -105,19 +90,36 @@ class XiDistribution:
     # ------------------------------------------------------------- density
 
     def density(self, y: float) -> float:
-        """Two-branch theta-series density P_sigma(y)."""
+        """Two-branch theta-series density P_sigma(y) at one point.
+
+        Each value equals the matching element of ``density_array``: both
+        weight ``theta_sum`` with numpy's exp, in the same order.
+        """
         y = float(y)
-        if abs(y) > _Y_SUPPORT:
+        if abs(y) > _Y_UNDERFLOW:
             return 0.0
-        x = math.exp(abs(y))
-        if math.pi * x * x > _UNDERFLOW_EXPONENT:
-            return 0.0
-        s = theta_sum(x, abs_tol=min(self.acc.abs_tol, 1e-15))
-        w = math.exp(-self.sigma * y) if y <= 0.0 else math.exp((1.0 - self.sigma) * y)
-        return 2.0 * s * w / self.xi_sigma
+        s = theta_sum(np.exp(abs(y)), min(self.acc.abs_tol, 1e-15))
+        w = np.exp((-self.sigma if y <= 0.0 else 1.0 - self.sigma) * y)
+        return float(2.0 * (s * w) / self.xi_sigma)
 
     def density_array(self, y) -> np.ndarray:
-        return 2.0 * _series_factor(np.asarray(y, dtype=float), self.sigma) / self.xi_sigma
+        """``density`` over an array, with one ``theta_sum`` call."""
+        y = np.asarray(y, dtype=float)
+        out = np.zeros_like(y)
+        alive = np.abs(y) <= _Y_UNDERFLOW
+        ya = y[alive]
+        s = theta_sum(np.exp(np.abs(ya)), min(self.acc.abs_tol, 1e-15))
+        w = np.exp(np.where(ya <= 0.0, -self.sigma, 1.0 - self.sigma) * ya)
+        out[alive] = 2.0 * (s * w) / self.xi_sigma
+        return out
+
+    def panel_cdf(self, grid: np.ndarray) -> np.ndarray:
+        """Mass between grid[0] and each grid point, by 5-point Gauss-Legendre panels."""
+        a, b = grid[:-1], grid[1:]
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        nodes = mid[:, None] + half[:, None] * _GL_X[None, :]
+        masses = (self.density_array(nodes.ravel()).reshape(nodes.shape) * _GL_W[None, :]).sum(axis=1) * half
+        return np.concatenate([[0.0], np.cumsum(masses)])
 
     # ---------------------------------------------- characteristic function
 
@@ -175,8 +177,8 @@ class XiDistribution:
 
     # ------------------------------------------------------------- sampling
 
-    def _table(self, n_nodes: int = 4001) -> DensityTable:
-        return _build_table(self.sigma, n_nodes)
+    def _table(self) -> DensityTable:
+        return _build_table(self.sigma)
 
     def sample(self, n: int, seed: int) -> np.ndarray:
         """n i.i.d. draws by inverse-CDF on the tabulated grid; deterministic per seed."""
@@ -202,17 +204,10 @@ def _strictly_increasing(cdf: np.ndarray, grid: np.ndarray):
 
 
 @lru_cache(maxsize=8)
-def _build_table(sigma: float, n_nodes: int) -> DensityTable:
+def _build_table(sigma: float) -> DensityTable:
     # sinh-warped grid on [-40, 40]: spacing ~6e-4 near 0, ~0.12 at the edges
-    u = np.linspace(-1.0, 1.0, n_nodes)
+    u = np.linspace(-1.0, 1.0, _TABLE_NODES)
     grid = 40.0 * np.sinh(6.0 * u) / math.sinh(6.0)
-    grid[n_nodes // 2] = 0.0
+    grid[_TABLE_NODES // 2] = 0.0
     dist = XiDistribution(sigma)
-    pdf = dist.density_array(grid)
-    # per-panel 5-point Gauss-Legendre mass, accumulated
-    a, b = grid[:-1], grid[1:]
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    nodes = mid[:, None] + half[:, None] * _GL_X[None, :]
-    masses = (dist.density_array(nodes.ravel()).reshape(nodes.shape) * _GL_W[None, :]).sum(axis=1) * half
-    cdf = np.concatenate([[0.0], np.cumsum(masses)])
-    return DensityTable(grid=grid, pdf=pdf, cdf=cdf)
+    return DensityTable(grid=grid, pdf=dist.density_array(grid), cdf=dist.panel_cdf(grid))

@@ -49,7 +49,7 @@ class CrossCheckConfig:
     zero_list: ZeroList | None = None
     k_zeros: int = 10_000
     cut: PrimeCutoff = PrimeCutoff(100_000, 40)
-    acc: EvalAccuracy = field(default_factory=lambda: EvalAccuracy(abs_tol=1e-9, rel_tol=0.0))
+    acc: EvalAccuracy = field(default_factory=lambda: EvalAccuracy(abs_tol=1e-9))
     base_budget: float = 1e-6  # quadrature/normalization budget per derived backend
     zero_budget: float = 5e-3  # absolute budget for the K-truncated zero product
 

@@ -12,11 +12,9 @@ from scipy.integrate import quad
 from .accuracy import AccuracyError
 
 
-def quad_checked(f, a, b, abs_tol=1e-11, limit=400, points=None, weight=None, wvar=None):
+def quad_checked(f, a, b, abs_tol=1e-11, limit=400, weight=None, wvar=None):
     """Adaptive quadrature of a real integrand with a hard error gate."""
     kwargs = dict(epsabs=abs_tol * 0.1, epsrel=0.0, limit=limit, full_output=1)
-    if points is not None and weight is None:
-        kwargs["points"] = points
     if weight is not None:
         kwargs["weight"] = weight
         kwargs["wvar"] = wvar
@@ -31,10 +29,10 @@ def quad_checked(f, a, b, abs_tol=1e-11, limit=400, points=None, weight=None, wv
     return value
 
 
-def quad_complex(f, a, b, abs_tol=1e-11, limit=400, points=None):
+def quad_complex(f, a, b, abs_tol=1e-11, limit=400):
     """Complex-valued integrand: integrate real and imaginary parts."""
-    re = quad_checked(lambda x: f(x).real, a, b, abs_tol=abs_tol, limit=limit, points=points)
-    im = quad_checked(lambda x: f(x).imag, a, b, abs_tol=abs_tol, limit=limit, points=points)
+    re = quad_checked(lambda x: f(x).real, a, b, abs_tol=abs_tol, limit=limit)
+    im = quad_checked(lambda x: f(x).imag, a, b, abs_tol=abs_tol, limit=limit)
     return complex(re, im)
 
 

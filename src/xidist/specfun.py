@@ -10,15 +10,19 @@ held to a stated accuracy and cross-checkable against an independent path:
   the absolutely convergent theta-kernel integral
       xi(s) = 2 \int_1^inf  sum_n f(nx) (x^{s-1/2} + x^{1/2-s}) x^{-1/2} dx,
   f(x) = 2 pi (2 pi x^4 - 3 x^2) e^{-pi x^2}.
-* ``riemann_siegel_Z`` is exact-phase (e^{i theta(t)} zeta(1/2+it)) below
-  t = 1000 and the Riemann-Siegel main sum plus its first correction term
-  above, which is ample for locating sign changes.
+* ``z_values`` is the one Z(t) evaluator, over arrays (``riemann_siegel_Z`` is
+  its 0-d call): exact-phase (e^{i theta(t)} zeta(1/2+it)) below t = 1000 and
+  the Riemann-Siegel main sum plus its first correction term above, which is
+  ample for locating sign changes.
 
 Method selection for zeta:
   Re s > 0 : accelerated alternating series (Cohen-Rodriguez Villegas-Zagier
              coefficients) while |Im s| <= 150; Euler-Maclaurin beyond, since
              the alternating-series error constant grows like e^{pi|t|/2} and
-             its coefficients overflow float64 once |t| is large.
+             its coefficients overflow float64 once |t| is large.  One
+             Euler-Maclaurin routine serves ``zeta`` and ``z_values``; each
+             caller chooses the head length and the tail stop (``z_values``
+             groups its ordinates so that each group shares one head length).
   Re s <= 0: reflection through the functional equation, assembled in log
              space so that the Gamma/sin factors cannot overflow.
 """
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import bernoulli
@@ -150,32 +155,30 @@ def _zeta_alternating(s: complex, denom: complex, n: int) -> complex:
 
 # Euler-Maclaurin tail: coefficients B_{2k}/(2k)! and their successive ratios.
 _EM_KMAX = 28
-_BF = [_B[2 * k] / math.factorial(2 * k) for k in range(1, _EM_KMAX + 2)]
-_BF_RATIO = [_BF[k] / _BF[k - 1] for k in range(1, _EM_KMAX + 1)]
+_BF = [_B[2 * k] / math.factorial(2 * k) for k in range(1, _EM_KMAX + 1)]
+_EM_RATIO = np.array([_BF[k] / _BF[k - 1] for k in range(1, _EM_KMAX)])
+_EM_TWO_K = 2.0 * np.arange(1, _EM_KMAX)
 
 
-def _zeta_euler_maclaurin(s: complex, abs_tol: float, max_terms: int = 200_000) -> complex:
-    t = abs(s.imag)
-    n_cut = max(18, int(0.55 * t) + 8)
-    if n_cut > max_terms:
-        raise AccuracyError(
-            f"Euler-Maclaurin needs {n_cut} head terms, max_terms is {max_terms}"
-        )
-    n = np.arange(1, n_cut)
-    head = complex(np.sum(np.exp(-s * np.log(n))))
-    ncs = cmath.exp(-s * math.log(n_cut))
+def _zeta_em(s, n_cut: int, stop: float):
+    """Euler-Maclaurin zeta(s) for an array of s that share the head length n_cut.
+
+    All tail terms are formed at once; the sum stops at the first term whose
+    magnitude is at most ``stop`` for every s, and raises if none is.
+    """
+    s = np.asarray(s, dtype=complex)
+    head = np.exp(-s[..., None] * np.log(np.arange(1.0, n_cut))).sum(axis=-1)
+    ncs = np.exp(-s * math.log(n_cut))
     val = head + 0.5 * ncs + ncs * n_cut / (s - 1.0)
-    term = _BF[0] * s * ncs / n_cut
-    total = term
-    inv_n2 = 1.0 / (n_cut * n_cut)
-    k = 1
-    while abs(term) > 0.02 * abs_tol:
-        if k >= _EM_KMAX:
-            raise AccuracyError("Euler-Maclaurin tail did not converge", achieved=abs(term))
-        term *= _BF_RATIO[k - 1] * (s + 2 * k - 1) * (s + 2 * k) * inv_n2
-        total += term
-        k += 1
-    return val + total
+    # tail terms T_k = B_{2k+2}/(2k+2)! s(s+1)...(s+2k) n^{-s-2k-1}, built by their ratios
+    s2k = s[..., None] + _EM_TWO_K
+    ratios = _EM_RATIO * (s2k - 1.0) * s2k * (1.0 / (n_cut * n_cut))
+    first = _BF[0] * s * ncs / n_cut
+    terms = np.concatenate([first[..., None], ratios], axis=-1).cumprod(axis=-1)
+    small = (abs(terms) <= stop).reshape(-1, _EM_KMAX).all(axis=0)
+    if not small.any():
+        raise AccuracyError("Euler-Maclaurin tail did not converge", achieved=float(abs(terms[..., -1]).max()))
+    return val + terms[..., : small.argmax() + 1].cumsum(axis=-1)[..., -1]
 
 
 def _log_sin(w: complex) -> complex:
@@ -201,7 +204,10 @@ def _zeta_rhs(s: complex, acc: EvalAccuracy) -> complex:
             if n > acc.max_terms:
                 raise AccuracyError(f"alternating series needs {n} terms, max_terms is {acc.max_terms}")
             return _zeta_alternating(s, denom, n)
-    return _zeta_euler_maclaurin(s, acc.abs_tol, acc.max_terms)
+    n_cut = max(18, int(0.55 * abs(s.imag)) + 8)
+    if n_cut > acc.max_terms:
+        raise AccuracyError(f"Euler-Maclaurin needs {n_cut} head terms, max_terms is {acc.max_terms}")
+    return complex(_zeta_em(s, n_cut, 0.02 * acc.abs_tol))
 
 
 def zeta(s: complex, acc: EvalAccuracy = DEFAULT_ACCURACY) -> complex:
@@ -256,11 +262,10 @@ def theta_kernel(x):
     xa = np.asarray(x, dtype=float)
     x2 = xa * xa
     out = _TWO_PI * (_TWO_PI * x2 * x2 - 3.0 * x2) * np.exp(-math.pi * x2)
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
+    return float(out) if out.ndim == 0 else out
 
 
+@lru_cache(maxsize=None)
 def _kernel_cutoff(abs_tol: float) -> float:
     # smallest u with 4 pi^2 u^4 e^{-pi u^2} < abs_tol/10 (Gaussian tail rule)
     big = math.log(40.0 * math.pi**2 / abs_tol)
@@ -270,14 +275,22 @@ def _kernel_cutoff(abs_tol: float) -> float:
     return u
 
 
-def theta_sum(x: float, abs_tol: float = 1e-16) -> float:
-    """sum_{n>=1} f(n x) with the Gaussian-decay truncation rule."""
-    if x <= 0.0:
+def theta_sum(x, abs_tol: float = 1e-16):
+    """sum_{n>=1} f(n x) with the Gaussian-decay truncation rule, elementwise.
+
+    The terms n <= ceil(u/x) + 1, u = ``_kernel_cutoff(abs_tol)``, are added
+    in order of n.  An array is summed to the bound of its smallest x, so its
+    other elements carry extra terms below abs_tol/10 each; for
+    x >= sqrt(3/(2 pi)), where every term is positive, these are below half
+    an ulp and each element equals its scalar call exactly.
+    """
+    x = np.asarray(x, dtype=float)
+    x_min = x.min(initial=math.inf)
+    if x_min <= 0.0:
         raise DomainError("theta_sum needs x > 0")
-    u_stop = _kernel_cutoff(abs_tol)
-    n_max = max(1, int(math.ceil(u_stop / x)) + 1)
-    n = np.arange(1, n_max + 1, dtype=float)
-    return float(np.sum(theta_kernel(n * x)))
+    n = np.arange(1.0, math.ceil(_kernel_cutoff(abs_tol) / x_min) + 2.0)
+    total = np.add.accumulate(theta_kernel(n.reshape(n.shape + (1,) * x.ndim) * x), axis=0)[-1]
+    return float(total) if total.ndim == 0 else total
 
 
 def xi_theta(s: complex, acc: EvalAccuracy = DEFAULT_ACCURACY) -> complex:
@@ -315,23 +328,15 @@ def _theta_asymptotic(t):
     )
 
 
-def riemann_siegel_theta(t: float) -> float:
-    """theta(t) = Im log Gamma(1/4 + it/2) - (t/2) log pi (continuous branch)."""
-    if t < 0.0:
-        return -riemann_siegel_theta(-t)
-    if t >= 20.0:
-        return float(_theta_asymptotic(t))
-    return log_gamma(0.25 + 0.5j * t).imag - 0.5 * t * _LN_PI
-
-
-def _theta_values(ts: np.ndarray) -> np.ndarray:
-    out = np.empty_like(ts)
-    big = ts >= 20.0
-    if np.any(big):
-        out[big] = _theta_asymptotic(ts[big])
-    for i in np.flatnonzero(~big):
-        out[i] = riemann_siegel_theta(float(ts[i]))
-    return out
+def riemann_siegel_theta(t):
+    """theta(t) = Im log Gamma(1/4 + it/2) - (t/2) log pi (continuous branch), elementwise."""
+    t = np.asarray(t, dtype=float)
+    a = np.abs(t)
+    out = np.array(_theta_asymptotic(np.maximum(a, 20.0)))
+    for i in np.flatnonzero(a < 20.0):
+        out.flat[i] = log_gamma(0.25 + 0.5j * a.flat[i]).imag - 0.5 * a.flat[i] * _LN_PI
+    out = np.where(t < 0.0, -out, out)
+    return float(out) if out.ndim == 0 else out
 
 
 def _rs_psi(p: np.ndarray) -> np.ndarray:
@@ -365,43 +370,21 @@ def _z_riemann_siegel(ts: np.ndarray) -> np.ndarray:
     return z + sign * tau**-0.25 * _rs_psi(p)
 
 
+# z_values groups the exact-phase ordinates by these edges; each group shares
+# the Euler-Maclaurin head length of its upper edge
 _EM_CHUNK_EDGES = np.array(
     [0.0, 50, 100, 150, 200, 300, 400, 500, 600, 700, 800, 900, _Z_SWITCH]
 )
 
 
-def _zeta_half_batch(ts: np.ndarray) -> np.ndarray:
-    """zeta(1/2 + i t) for an array of t in [0, _Z_SWITCH], Euler-Maclaurin."""
-    out = np.empty(ts.shape, dtype=complex)
-    bins = np.digitize(ts, _EM_CHUNK_EDGES[1:-1])
-    for b in np.unique(bins):
-        sel = bins == b
-        t_hi = _EM_CHUNK_EDGES[b + 1]
-        n_cut = max(18, int(0.55 * t_hi) + 8)
-        s = 0.5 + 1j * ts[sel]
-        n = np.arange(1, n_cut, dtype=float)
-        vals = np.zeros(s.shape, dtype=complex)
-        for lo in range(0, len(n), 4096):  # bound the outer-product memory
-            ln = np.log(n[lo : lo + 4096])
-            vals += np.exp(-s[:, None] * ln[None, :]).sum(axis=1)
-        ncs = np.exp(-s * math.log(n_cut))
-        vals += 0.5 * ncs + ncs * n_cut / (s - 1.0)
-        term = _BF[0] * s * ncs / n_cut
-        total = term.copy()
-        inv_n2 = 1.0 / (n_cut * n_cut)
-        k = 1
-        while np.max(np.abs(term)) > 1e-15:
-            if k >= _EM_KMAX:
-                raise AccuracyError("batched Euler-Maclaurin did not converge")
-            term = term * (_BF_RATIO[k - 1] * inv_n2) * (s + 2 * k - 1) * (s + 2 * k)
-            total += term
-            k += 1
-        out[sel] = vals + total
-    return out
-
-
 def z_values(ts) -> np.ndarray:
-    """Vectorized Z(t) over an array of ordinates t >= 0."""
+    """Z(t) with |Z(t)| = |zeta(1/2 + it)| over an array of ordinates t >= 0.
+
+    Exact-phase e^{i theta(t)} zeta(1/2+it) up to t = 1000 (error ~1e-12);
+    Riemann-Siegel main sum + first correction term above (absolute error
+    <= ~3e-3, decreasing like t^{-3/4}, which keeps every bracketing decision
+    safe at desk scale).  Sign changes bracket zeros.
+    """
     ts = np.asarray(ts, dtype=float)
     flat = np.atleast_1d(ts).astype(float)
     if np.any(flat < 0.0):
@@ -410,26 +393,22 @@ def z_values(ts) -> np.ndarray:
     low = flat <= _Z_SWITCH
     if np.any(low):
         tl = flat[low]
-        out[low] = (np.exp(1j * _theta_values(tl)) * _zeta_half_batch(tl)).real
+        zeta_half = np.empty(tl.shape, dtype=complex)
+        bins = np.digitize(tl, _EM_CHUNK_EDGES[1:-1])
+        for b in np.unique(bins):
+            sel = bins == b
+            n_cut = max(18, int(0.55 * _EM_CHUNK_EDGES[b + 1]) + 8)
+            zeta_half[sel] = _zeta_em(0.5 + 1j * tl[sel], n_cut, 1e-15)
+        rotated = np.exp(1j * riemann_siegel_theta(tl)) * zeta_half
+        # the rotated value is real analytically; a large residue flags a bug
+        if np.any(np.abs(rotated.imag) > 1e-6 * (1.0 + np.abs(rotated))):
+            raise AccuracyError("phase-rotated zeta not real", achieved=float(np.max(np.abs(rotated.imag))))
+        out[low] = rotated.real
     if np.any(~low):
         out[~low] = _z_riemann_siegel(flat[~low])
     return out.reshape(ts.shape)
 
 
-def riemann_siegel_Z(t: float, acc: EvalAccuracy = DEFAULT_ACCURACY) -> float:
-    """Z(t) with |Z(t)| = |zeta(1/2 + it)|; sign changes bracket zeros.
-
-    Exact-phase evaluation below t = 1000 (error ~1e-12); Riemann-Siegel main
-    sum + first correction term above (absolute error <= ~3e-3, decreasing
-    like t^{-3/4}, which keeps every bracketing decision safe at desk scale).
-    """
-    if t < 0.0:
-        raise DomainError("riemann_siegel_Z is defined for t >= 0")
-    if t <= _Z_SWITCH:
-        phase = cmath.exp(1j * riemann_siegel_theta(t))
-        value = phase * zeta(0.5 + 1j * t, acc)
-        # the rotated value is real analytically; a large residue flags a bug
-        if abs(value.imag) > 1e-6 * (1.0 + abs(value)):
-            raise AccuracyError("phase-rotated zeta not real", achieved=abs(value.imag))
-        return value.real
-    return float(_z_riemann_siegel(np.array([t]))[0])
+def riemann_siegel_Z(t: float) -> float:
+    """Z(t) at one ordinate: ``z_values`` on a 0-d input."""
+    return float(z_values(t))

@@ -24,20 +24,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .accuracy import (
-    DEFAULT_ACCURACY,
-    CacheChecksumError,
-    CacheParseError,
-    DomainError,
-    EvalAccuracy,
-    MissedZeroError,
-)
+from .accuracy import CacheChecksumError, CacheParseError, DomainError, MissedZeroError
 from .specfun import riemann_siegel_theta, z_values
 
 __all__ = [
     "ZeroRecord",
     "ZeroList",
     "counting_estimate",
+    "gamma_ceiling",
     "find_zeros",
     "save_cache",
     "load_cache",
@@ -95,6 +89,21 @@ def counting_estimate(t: float) -> float:
     return riemann_siegel_theta(t) / math.pi + 1.0
 
 
+def gamma_ceiling(n_zeros: int) -> float:
+    """Tight ordinate below which the counting estimate promises n_zeros zeros."""
+    hi = 100.0
+    while counting_estimate(hi) < n_zeros + 2:
+        hi *= 1.25
+    lo = hi / 1.25
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        if counting_estimate(mid) < n_zeros + 2:
+            lo = mid
+        else:
+            hi = mid
+    return math.ceil(hi)
+
+
 def _brackets_from_grid(grid: np.ndarray, z: np.ndarray):
     s = np.sign(z)
     # a grid point landing exactly on a zero joins the interval to its right
@@ -123,13 +132,11 @@ def _scan(lo: float, hi: float, step: float):
     return _brackets_from_grid(grid, z_values(grid))
 
 
-def find_zeros(t_max: float, acc: EvalAccuracy = DEFAULT_ACCURACY, step: float = 0.05) -> ZeroList:
+def find_zeros(t_max: float, step: float = 0.05) -> ZeroList:
     """All zeros with gamma <= t_max, bisected to bracket halfwidth <= 1e-9.
 
     Raises MissedZeroError when the final count disagrees with the counting
     estimate by more than 1 even after two rounds of windowed rescans.
-    ``acc`` is accepted for interface symmetry; the evaluator error is already
-    orders of magnitude below the bracket width everywhere it is used.
     """
     if t_max < 15.0:
         raise DomainError("find_zeros needs t_max >= 15 (first zero is near 14.13)")
@@ -220,15 +227,26 @@ _CACHE_MAGIC = "xi-dist-zeros v1"
 
 
 def save_cache(zl: ZeroList, path) -> None:
-    """Plain-text cache; integrity-sealed with a trailing sha256 line."""
+    """Plain-text cache; integrity-sealed with a trailing sha256 line.
+
+    The file is written under a temporary name in the target's directory and
+    renamed onto ``path``, so a reader never sees a partial or interleaved cache.
+    """
     lines = [f"{_CACHE_MAGIC} t_max={zl.t_max:.15g}\n"]
     for r in list(zl.records) + list(zl.off_line):
         lines.append(f"{r.index} {r.gamma:.15g} {r.bracket_halfwidth:.15g} {r.beta:.15g}\n")
     body = "".join(lines).encode("ascii")
     digest = hashlib.sha256(body).hexdigest()
-    with open(path, "wb") as fh:
-        fh.write(body)
-        fh.write(f"sha256={digest}\n".encode("ascii"))
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(body)
+            fh.write(f"sha256={digest}\n".encode("ascii"))
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_cache(path) -> ZeroList:

@@ -29,7 +29,7 @@ from xidist.specfun import log_gamma, xi, zeta
 from xidist.zeros import counting_estimate
 from xidist.accuracy import EvalAccuracy
 
-QUAD_ACC = EvalAccuracy(abs_tol=1e-9, rel_tol=0.0)
+QUAD_ACC = EvalAccuracy(abs_tol=1e-9)
 CUT = PrimeCutoff(100_000, 40)
 BIG_CUT = PrimeCutoff(30_000_000, 40)
 

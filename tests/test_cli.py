@@ -138,6 +138,55 @@ def test_verify_convergence(tmp_path, capsys):
     assert lines[0] == "K,abs_residual"
 
 
+def _assert_failure_exit(code, err):
+    # a progress line may precede the one-line error; no traceback follows it
+    assert code == 3
+    assert err.splitlines()[-1].startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_accuracy_error_exit_code(capsys):
+    code, _, err = run_cli(["eval", "--sigma", "2", "--t", "1e6"], capsys)
+    _assert_failure_exit(code, err)
+    assert "Euler-Maclaurin" in err
+
+
+def test_missed_zero_error_exit_code(monkeypatch, capsys):
+    from xidist import cli
+    from xidist.accuracy import MissedZeroError
+
+    def incomplete(*args, **kwargs):
+        raise MissedZeroError("count 3 below t=30 vs estimate 5.00")
+
+    monkeypatch.setattr(cli, "ensure_cache", incomplete)
+    code, _, err = run_cli(["zeros", "--tmax", "30"], capsys)
+    _assert_failure_exit(code, err)
+
+
+def test_cache_parse_error_exit_code(tmp_path, capsys):
+    cache = tmp_path / "zc.txt"
+    cache.write_text("not a zero cache\n")
+    code, _, err = run_cli(["zeros", "--tmax", "30", "--cache", str(cache)], capsys)
+    _assert_failure_exit(code, err)
+    assert "missing header" in err
+
+
+def test_cache_checksum_error_exit_code(tmp_path, capsys):
+    cache = tmp_path / "zc.txt"
+    assert run_cli(["zeros", "--tmax", "30", "--cache", str(cache)], capsys)[0] == 0
+    cache.write_text(cache.read_text().replace("14.134725", "14.134726", 1))
+    code, _, err = run_cli(["zeros", "--tmax", "30", "--cache", str(cache)], capsys)
+    _assert_failure_exit(code, err)
+    assert "checksum mismatch" in err
+
+
+def test_os_error_exit_code(tmp_path, capsys):
+    cache = tmp_path / "missing" / "zc.txt"
+    code, _, err = run_cli(["zeros", "--tmax", "30", "--cache", str(cache)], capsys)
+    _assert_failure_exit(code, err)
+    assert not cache.parent.exists()
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["eval", "--sigma", "2"]) == 2
 

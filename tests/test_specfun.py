@@ -102,6 +102,13 @@ def test_zeta_against_oracle(s):
     assert abs(zeta(s) - ref) <= 1e-11 * max(1.0, abs(ref))
 
 
+def test_zeta_respects_max_terms_on_euler_maclaurin_branch():
+    from xidist.accuracy import AccuracyError, EvalAccuracy
+
+    with pytest.raises(AccuracyError, match="Euler-Maclaurin"):
+        zeta(0.5 + 500j, EvalAccuracy(max_terms=10))
+
+
 def test_zeta_trivial_zero_nearly_exact():
     assert abs(zeta(-4 + 0j)) < 1e-14
 
@@ -110,7 +117,7 @@ def test_zeta_respects_max_terms():
     from xidist.accuracy import AccuracyError, EvalAccuracy
 
     with pytest.raises(AccuracyError):
-        zeta(0.5 + 100j, EvalAccuracy(abs_tol=1e-12, rel_tol=0.0, max_terms=10))
+        zeta(0.5 + 100j, EvalAccuracy(abs_tol=1e-12, max_terms=10))
 
 
 # -------------------------------------------------------------------- xi
@@ -201,6 +208,16 @@ def test_theta_sum_matches_direct():
     assert abs(theta_sum(1.0) - direct) < 1e-15
 
 
+def test_theta_sum_array_equals_scalar_calls():
+    rng = np.random.default_rng(11)
+    # every caller's x is >= 1: there each element equals its scalar call exactly
+    x = rng.uniform(1.0, 8.0, 200)
+    np.testing.assert_array_equal(theta_sum(x), [theta_sum(v) for v in x])
+    # below sqrt(3/(2 pi)) the batch's extra terms may move a sum, within abs_tol
+    x = rng.uniform(0.05, 8.0, 200)
+    np.testing.assert_allclose(theta_sum(x), [theta_sum(v) for v in x], rtol=0.0, atol=1e-16)
+
+
 def test_theta_sum_domain():
     with pytest.raises(DomainError):
         theta_sum(0.0)
@@ -231,6 +248,17 @@ def test_z_sign_change_around_second_zero():
 def test_z_negative_t_rejected():
     with pytest.raises(DomainError):
         riemann_siegel_Z(-1.0)
+
+
+def test_riemann_siegel_Z_is_z_values():
+    for t in (0.0, 14.134725, 149.9, 722.5, 1000.0, 1203.7):
+        assert riemann_siegel_Z(t) == z_values([t])[0]
+
+
+def test_z_values_against_siegelz_exact_phase_branch():
+    ts = np.random.default_rng(23).uniform(0.0, 1000.0, 24)
+    for t, v in zip(ts, z_values(ts)):
+        assert abs(v - float(mp.siegelz(t))) <= 1e-12
 
 
 def test_z_branch_crossover_consistency():

@@ -96,6 +96,23 @@ def test_cache_header_line(tmp_path, small_zeros):
     assert first == f"xi-dist-zeros v1 t_max={small_zeros.t_max:.15g}"
 
 
+def test_failed_save_keeps_previous_cache(tmp_path, small_zeros, monkeypatch):
+    import os
+
+    p = tmp_path / "zc.txt"
+    save_cache(small_zeros, p)
+    before = p.read_bytes()
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="replace refused"):
+        save_cache(ZeroList(records=small_zeros.records[:3], t_max=30.0), p)
+    assert p.read_bytes() == before
+    assert [f.name for f in tmp_path.iterdir()] == ["zc.txt"]
+
+
 def test_truncated_cache_raises_parse_error(tmp_path, small_zeros):
     p = tmp_path / "zc.txt"
     save_cache(small_zeros, p)
