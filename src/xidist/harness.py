@@ -129,19 +129,16 @@ def _backend_values(sigma: float, t_grid: np.ndarray, config: CrossCheckConfig) 
     dist = XiDistribution(sigma, acc=config.acc)
     out = {"direct": np.array([dist.cf_direct(t) for t in t_grid])}
     if np.max(np.abs(t_grid)) <= 50.0:
-        out["density_ft"] = np.array([dist.cf_from_density(t) for t in t_grid])
+        out["density_ft"] = dist.cf_from_density(t_grid)
     if sigma > 0.5 and config.zero_list is not None and config.k_zeros <= len(config.zero_list):
-        out["zeros"] = np.array(
-            [cf_from_zeros(sigma, t, config.zero_list, config.k_zeros).value for t in t_grid]
-        )
+        out["zeros"] = cf_from_zeros(sigma, t_grid, config.zero_list, config.k_zeros).value
     if sigma > 1.0:
         tr = xi_triplet(sigma, config.cut)
-        out["primes_triplet"] = np.array([cf_from_triplet(tr, t, config.acc) for t in t_grid])
+        out["primes_triplet"] = cf_from_triplet(tr, t_grid, config.acc)
         # independent composition: smoothed-law triplet un-smoothed afterwards
         trs = xi_star_triplet(sigma, config.cut)
-        star = np.array([cf_from_triplet(trs, t, config.acc) for t in t_grid])
-        unsmooth = np.array([complex(sigma - 1.0, -t) / (sigma - 1.0) for t in t_grid])
-        out["xi_star_composed"] = star * unsmooth
+        unsmooth = (sigma - 1.0 - 1j * t_grid) / (sigma - 1.0)
+        out["xi_star_composed"] = cf_from_triplet(trs, t_grid, config.acc) * unsmooth
     return out
 
 

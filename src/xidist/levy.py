@@ -10,23 +10,28 @@ direct xi ratio:
   atoms of mass p^{-r sigma}/r at r log p  (``xi_triplet``);
 * zero route (sigma > 1/2): product over paired critical zeros of
   (A - i gamma - it)(A + i gamma - it) / ((A - i gamma)(A + i gamma)),
-  A = sigma - 1/2, each factor's log given by ``exp_factor_log``
-  (``cf_from_zeros``);
+  A = sigma - 1/2, one log per pair in ``cf_from_zeros`` and one log per
+  factor through ``exp_factor_log`` in ``zero_pair_factor_log``;
 * Gamma-law route: Malmsten-type exponent reproducing
   log Gamma(sigma-it) - log Gamma(sigma)  (``gamma_levy_log``);
 * exponential smoothing: Xi*_sigma(t) = (sigma-1)/(sigma-1-it) Xi_sigma(t),
   whose triplet has the everywhere-positive continuous density
   1/(x e^{sigma x}(1-e^{-2x})) - 1/(x e^{sigma x})  (``xi_star_triplet``).
 
-Numerical conventions: exponents are accumulated per factor (never the log of
-a finished product, so there is no winding ambiguity); e^{iu}-1 and
-e^{iu}-1-iu are evaluated in cancellation-free form; prime sums are truncated
-at an explicit cutoff whose tail bound is exposed for error budgeting.
+Numerical conventions: exponents are accumulated per conjugate zero pair,
+never as the log of a finished product.  The principal log of one pair
+factor 1 + w is safe: only exp of the summed exponent is returned, so a
+branch jump of 2 pi i could not change a value, and none occurs for real t
+because Im w = -2At/(A^2 + gamma^2) keeps 1 + w off the negative real axis.
+e^{iu}-1 and e^{iu}-1-iu are evaluated in cancellation-free form.  Prime
+sums are truncated at an explicit cutoff whose tail bound is exposed for
+error budgeting.  The CF evaluators (``cf_from_zeros``, ``cf_from_triplet``,
+``log_cf_from_triplet``) take a scalar or an array t; an array is evaluated
+in one call, in row blocks of at most 2^14 entries per temporary.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -42,7 +47,7 @@ from .accuracy import (
     MeasureDivergenceError,
     ensure_finite,
 )
-from .quadrature import quad_checked, quad_complex
+from .quadrature import fourier_quad, kernel_sum, quad_checked, quad_complex, row_blocks
 from .specfun import xi
 from .zeros import ZeroList
 
@@ -80,20 +85,23 @@ __all__ = [
 def _eiu_m1(u):
     """e^{iu} - 1 for real u, without cancellation: (-2 sin^2(u/2), sin u)."""
     u = np.asarray(u, dtype=float)
+    out = np.empty(u.shape, dtype=complex)
     half = np.sin(0.5 * u)
-    out = -2.0 * half * half + 1j * np.sin(u)
+    np.multiply(-2.0 * half, half, out=out.real)
+    np.sin(u, out=out.imag)
     return complex(out) if out.ndim == 0 else out
 
 
-def _eiu_m1_miu(u: float) -> complex:
+def _eiu_m1_miu(u):
     """e^{iu} - 1 - iu; the imaginary part sin(u) - u is series-expanded near 0."""
-    re = -2.0 * math.sin(0.5 * u) ** 2
-    if abs(u) < 1e-2:
-        u2 = u * u
-        im = -(u * u2) / 6.0 * (1.0 - u2 / 20.0 * (1.0 - u2 / 42.0))
-    else:
-        im = math.sin(u) - u
-    return complex(re, im)
+    u = np.asarray(u, dtype=float)
+    out = np.empty(u.shape, dtype=complex)
+    half = np.sin(0.5 * u)
+    np.multiply(-2.0 * half, half, out=out.real)
+    u2 = u * u
+    series = -(u * u2) / 6.0 * (1.0 - u2 / 20.0 * (1.0 - u2 / 42.0))
+    np.copyto(out.imag, np.where(np.abs(u) < 1e-2, series, np.sin(u) - u))
+    return complex(out) if out.ndim == 0 else out
 
 
 def _log1p_c(w):
@@ -105,6 +113,14 @@ def _log1p_c(w):
     out[small] = ws * (1.0 - ws * (0.5 - ws * (1.0 / 3.0 - 0.25 * ws)))
     out[~small] = np.log(1.0 + w[~small])
     return complex(out) if out.ndim == 0 else out
+
+
+def _finite_t(t) -> np.ndarray:
+    """t as a float array (0-d for a scalar); NaN or inf raises like ``ensure_finite``."""
+    t = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t)):
+        raise ValueError(f"non-finite t: {t!r}")
+    return t
 
 
 # ------------------------------------------------------------- measure model
@@ -363,12 +379,14 @@ def off_line_factor_log(sigma: float, beta: float, gamma: float, t: float) -> co
 
 
 class ZeroProductResult(NamedTuple):
+    """Scalars for a scalar t; arrays of t's shape for an array t."""
+
     value: complex
     tail_estimate: float
 
 
-def zero_tail_estimate(sigma: float, t: float, zl: ZeroList, k: int) -> float:
-    """Crude magnitude of the dropped exponent sum over zeros beyond the K-th.
+def zero_tail_estimate(sigma: float, t, zl: ZeroList, k: int):
+    """Crude magnitude of the dropped exponent sum over zeros beyond the K-th (t scalar or array).
 
     Per zero the exponent is ~ t^2/gamma^2 - 2i(sigma-1/2)t/gamma^2; zeros
     inside the list range are summed directly and the range beyond t_max uses
@@ -376,34 +394,52 @@ def zero_tail_estimate(sigma: float, t: float, zl: ZeroList, k: int) -> float:
     """
     a = sigma - 0.5
     g = zl.gammas[k:]
-    scale = t * t + 2.0 * a * abs(t)
+    scale = t * t + 2.0 * a * np.abs(t)
     inside = float(np.sum(1.0 / (g * g))) if len(g) else 0.0
     t_edge = zl.t_max
     beyond = (math.log(t_edge / (2.0 * math.pi)) + 1.0) / (2.0 * math.pi * t_edge)
     return scale * (inside + beyond)
 
 
-def cf_from_zeros(sigma: float, t: float, zl: ZeroList, k: int) -> ZeroProductResult:
+def cf_from_zeros(sigma: float, t, zl: ZeroList, k: int) -> ZeroProductResult:
     """K-zero truncation of the Hadamard-product characteristic function.
 
-    exp( sum_{j<=K} zero_pair_factor_log(sigma, gamma_j, t) ), with off-line
-    records (if any are supplied) contributing their four-factor terms.
+    exp( sum_{j<=K} log(1 + w_j) ), w_j = -t(t + 2ia)/(a^2 + gamma_j^2) with
+    a = sigma - 1/2, one log per conjugate zero pair (the pair factor
+    (A - i gamma - it)(A + i gamma - it)/((A - i gamma)(A + i gamma)) is
+    1 + w); off-line records (if any are supplied) add their four-factor
+    terms.  t may be a scalar (a result of scalars) or an array (a result of
+    arrays of its shape).
     """
     if sigma <= 0.5:
         raise DomainError("zero-product representation needs sigma > 1/2")
     if k > len(zl):
         raise InsufficientZerosError(f"requested {k} zeros, have {len(zl)}")
-    t = float(ensure_finite(t, "t").real)
-    if t == 0.0:
-        return ZeroProductResult(1.0 + 0.0j, 0.0)
+    t = _finite_t(t)
+    flat = t.ravel()
     a = sigma - 0.5
-    g = zl.gammas[:k]
-    w1 = -1j * t / (a - 1j * g)
-    w2 = -1j * t / (a + 1j * g)
-    total = complex(np.sum(_log1p_c(w1)) + np.sum(_log1p_c(w2)))
+    inv_d = 1.0 / (a * a + zl.gammas[:k] ** 2)
+    total = np.empty(flat.size, dtype=complex)
+    for blk in row_blocks(flat.size, k):
+        tb = flat[blk, None]
+        re = -(tb * tb) * inv_d
+        im = (-2.0 * a) * tb * inv_d
+        p = 1.0 + re
+        # log|1+w|^2 = log1p(Re w (2 + Re w) + Im w^2) keeps the digits of
+        # small w; where |1+w| is small (t near gamma) log1p's argument nears
+        # -1 and loses them, and log(|1+w|^2) keeps them instead
+        mod2 = p * p + im * im
+        log_mod2 = np.where(mod2 < 0.5, np.log(mod2), np.log1p(re * (2.0 + re) + im * im))
+        total.real[blk] = 0.5 * log_mod2.sum(axis=1)
+        total.imag[blk] = np.arctan2(im, p).sum(axis=1)
     for rec in zl.off_line:
-        total += off_line_factor_log(sigma, rec.beta, rec.gamma, t)
-    return ZeroProductResult(cmath.exp(total), zero_tail_estimate(sigma, t, zl, k))
+        total += off_line_factor_log(sigma, rec.beta, rec.gamma, flat)
+    value = np.exp(total)
+    value[flat == 0.0] = 1.0
+    tail = zero_tail_estimate(sigma, flat, zl, k)
+    if t.ndim == 0:
+        return ZeroProductResult(complex(value[0]), float(tail[0]))
+    return ZeroProductResult(value.reshape(t.shape), tail.reshape(t.shape))
 
 
 # ----------------------------------------------------------- Gamma-law route
@@ -516,54 +552,51 @@ def cf_xi_star(sigma: float, t: float) -> complex:
 
 # -------------------------------------------------------- triplet evaluation
 
-def log_cf_from_triplet(tr: QuasiLevyTriplet, t: float, acc: EvalAccuracy = DEFAULT_ACCURACY) -> complex:
-    """The Levy-Khintchine exponent of the triplet at t (value 0 at t = 0)."""
-    t = float(ensure_finite(t, "t").real)
-    if t == 0.0:
-        return 0.0 + 0.0j
+def log_cf_from_triplet(tr: QuasiLevyTriplet, t, acc: EvalAccuracy = DEFAULT_ACCURACY):
+    """The Levy-Khintchine exponent of the triplet at t (value 0 at t = 0).
+
+    t may be a scalar (complex result) or an array (complex array of its
+    shape); the continuous part is one ``fourier_quad`` panel rule per piece
+    for the whole array.
+    """
+    t = _finite_t(t)
+    flat = t.ravel()
     b = tr.truncation_halfwidth
     m = tr.measure
-    total = complex(-0.5 * tr.a * t * t, tr.drift * t)
+    total = -0.5 * tr.a * flat * flat + 1j * tr.drift * flat
     if m.continuous:
         if b == 0.0 and m.max_pole_order >= 2:
             raise DomainError(
                 "continuous density ~ x^-2 at 0 is not integrable without a compensator"
             )
-        rate = m.min_decay
-        if rate <= 0.0:
+        slowest = m.min_decay
+        if slowest <= 0.0:
             raise DomainError("continuous density does not decay; exponent integral diverges")
         tol = max(acc.abs_tol, 1e-12)
-        x_hi = (34.0 + math.log(1.0 + abs(t))) / rate + 2.0
-        limit = 300 + 30 * int(abs(t) + m.max_frequency)
-
-        def compensated(x: float) -> complex:
-            if x == 0.0:
-                return 0.0 + 0.0j  # measure-zero endpoint; quadpack stays interior
-            return _eiu_m1_miu(t * x) * m.continuous_density(x)
-
-        def plain(x: float) -> complex:
-            return complex(_eiu_m1(t * x)) * m.continuous_density(x)
-
+        x_hi = (34.0 + math.log(1.0 + float(np.max(np.abs(flat), initial=0.0)))) / slowest + 2.0
+        # the density varies at its fastest decay rate and cosine frequency,
+        # and on the unit scale of its pole at x = 0
+        rate = max(term.decay for term in m.continuous) + m.max_frequency + 2.0
+        dens = m.continuous_density
         if b > 0.0:
-            total += quad_complex(compensated, 0.0, b, abs_tol=tol, limit=limit)
-            total += quad_complex(plain, b, x_hi, abs_tol=tol, limit=limit)
+            total += fourier_quad(dens, 0.0, b, flat, tol, rate, kernel=_eiu_m1_miu)
+            total += fourier_quad(dens, b, x_hi, flat, tol, rate, kernel=_eiu_m1)
         else:
-            total += quad_complex(plain, 0.0, x_hi, abs_tol=tol, limit=limit)
+            total += fourier_quad(dens, 0.0, x_hi, flat, tol, rate, kernel=_eiu_m1)
     if len(m.atom_locations):
-        u = t * m.atom_locations
-        atom_sum = complex(np.dot(m.atom_masses, _eiu_m1(u)))
-        inside = m.atom_locations <= b
+        locs, masses = m.atom_locations, m.atom_masses
+        total += kernel_sum(_eiu_m1, flat, locs, masses)
+        inside = locs <= b
         if np.any(inside):
-            atom_sum -= 1j * t * float(np.dot(m.atom_masses[inside], m.atom_locations[inside]))
-        total += atom_sum
-    return total
+            total -= 1j * flat * float(np.dot(masses[inside], locs[inside]))
+    total[flat == 0.0] = 0.0
+    return complex(total[0]) if t.ndim == 0 else total.reshape(t.shape)
 
 
-def cf_from_triplet(tr: QuasiLevyTriplet, t: float, acc: EvalAccuracy = DEFAULT_ACCURACY) -> complex:
-    """exp of the triplet exponent; exactly 1 at t = 0."""
-    if float(t) == 0.0:
-        return 1.0 + 0.0j
-    return cmath.exp(log_cf_from_triplet(tr, t, acc))
+def cf_from_triplet(tr: QuasiLevyTriplet, t, acc: EvalAccuracy = DEFAULT_ACCURACY):
+    """exp of the triplet exponent over a scalar or array t; exactly 1 at t = 0."""
+    out = np.exp(log_cf_from_triplet(tr, t, acc))
+    return complex(out) if np.ndim(out) == 0 else out
 
 
 # ---------------------------------------------------- total variation probe

@@ -96,6 +96,21 @@ def test_cf_from_density_real_for_symmetric(dhalf):
 def test_cf_from_density_domain(d2):
     with pytest.raises(DomainError):
         d2.cf_from_density(60.0)
+    # one element out of range rejects the whole array
+    for bad in (50.5, -60.0, math.nan):
+        with pytest.raises(DomainError):
+            d2.cf_from_density(np.array([0.0, 3.0, bad, 10.0]))
+
+
+@pytest.mark.parametrize("sigma", [-1.0, 0.5, 2.0])
+def test_cf_from_density_array_matches_scalar_calls(sigma):
+    d = XiDistribution(sigma)
+    ts = np.array([[-50.0, -7.25, 0.0], [0.5, 3.0, 10.0]])
+    got = d.cf_from_density(ts)
+    assert got.shape == ts.shape
+    want = np.array([[d.cf_from_density(float(t)) for t in row] for row in ts])
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
+    assert isinstance(d.cf_from_density(3.0), complex)
 
 
 # ---------------------------------------------------------- cdf / quantile

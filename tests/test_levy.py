@@ -380,6 +380,43 @@ def test_tv_damped_zero_cos_converges():
     assert math.isfinite(total_variation_integral(m))
 
 
+# --------------------------------------------------- t arrays in one call
+
+@pytest.mark.parametrize("make_triplet", [xi_triplet, xi_star_triplet])
+def test_triplet_array_matches_scalar_calls(make_triplet):
+    tr = make_triplet(1.25, CUT)
+    ts = np.array([-10.0, -3.5, -0.01, 0.0, 0.5, 7.25, 10.0])
+    got = cf_from_triplet(tr, ts)
+    want = np.array([cf_from_triplet(tr, float(t)) for t in ts])
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
+    assert got[3] == 1.0 + 0.0j
+    assert isinstance(cf_from_triplet(tr, 2.0), complex)
+
+
+def test_zero_product_array_matches_scalar_calls(small_zeros):
+    ts = np.array([[-12.0, -1.0, 0.0], [0.25, 3.0, 14.1]])
+    got = cf_from_zeros(0.8, ts, small_zeros, 30)
+    assert got.value.shape == got.tail_estimate.shape == ts.shape
+    for t, v, tail in zip(ts.ravel(), got.value.ravel(), got.tail_estimate.ravel()):
+        one = cf_from_zeros(0.8, float(t), small_zeros, 30)
+        assert isinstance(one.value, complex) and isinstance(one.tail_estimate, float)
+        assert abs(v - one.value) <= 1e-13
+        assert tail == one.tail_estimate
+
+
+@pytest.mark.parametrize("sigma", [0.55, 2.0])
+def test_zero_product_pair_form_matches_factor_logs(small_zeros, sigma):
+    # at sigma = 0.55 and t = sqrt(a^2 + gamma_1^2), 1 + Re w = 0 for the first pair
+    a = sigma - 0.5
+    t_flip = math.sqrt(a * a + GAMMA1 * GAMMA1)
+    gammas = small_zeros.gammas[:20]
+    for t in (-t_flip, GAMMA1 - 1e-3, t_flip - 1e-9, t_flip, t_flip + 1e-9, GAMMA1 + 1e-3, 0.7, 30.0):
+        want = sum(zero_pair_factor_log(sigma, float(g), t) for g in gammas)
+        got = cf_from_zeros(sigma, t, small_zeros, 20).value
+        # the exponent difference, modulo 2 pi i
+        assert abs(cmath.log(got * cmath.exp(-want))) <= 1e-12
+
+
 # ----------------------------------------------- generic triplet evaluation
 
 def test_uncompensated_second_order_pole_rejected():

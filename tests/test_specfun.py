@@ -218,6 +218,19 @@ def test_theta_sum_array_equals_scalar_calls():
     np.testing.assert_allclose(theta_sum(x), [theta_sum(v) for v in x], rtol=0.0, atol=1e-16)
 
 
+@pytest.mark.parametrize("x", [0.1, 0.2, 0.5])
+def test_theta_sum_below_one_against_series(x):
+    # the direct series cancels from O(1) down to ~1e-130 at x = 0.1: 200 digits
+    with mp.workdps(200):
+        xm = mp.mpf(x)
+        def f(n):
+            u2 = (n * xm) ** 2
+            return 2 * mp.pi * (2 * mp.pi * u2 * u2 - 3 * u2) * mp.exp(-mp.pi * u2)
+
+        want = mp.nsum(f, [1, mp.inf])
+    assert abs(theta_sum(x) - float(want)) <= 1e-16
+
+
 def test_theta_sum_domain():
     with pytest.raises(DomainError):
         theta_sum(0.0)
@@ -259,6 +272,13 @@ def test_z_values_against_siegelz_exact_phase_branch():
     ts = np.random.default_rng(23).uniform(0.0, 1000.0, 24)
     for t, v in zip(ts, z_values(ts)):
         assert abs(v - float(mp.siegelz(t))) <= 1e-12
+
+
+def test_z_values_against_siegelz_riemann_siegel_branch():
+    # the stated bound of the main sum plus first correction term above t = 1000
+    ts = np.random.default_rng(29).uniform(1000.0, 10020.0, 12)
+    for t, v in zip(ts, z_values(ts)):
+        assert abs(v - float(mp.siegelz(t))) <= 3e-3
 
 
 def test_z_branch_crossover_consistency():
