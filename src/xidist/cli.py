@@ -68,7 +68,7 @@ def _cmd_density(args) -> int:
         raise DomainError("--range requires A < B and N >= 2")
     dist = XiDistribution(args.sigma)
     ys = np.linspace(lo, hi, n)
-    pdf = dist.density_array(ys)
+    pdf = dist.density(ys)
     cdf = dist.cdf(lo) + dist.panel_cdf(ys)
     out = args.output if args.output else sys.stdout
     close = False

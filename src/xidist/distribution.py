@@ -37,9 +37,6 @@ from .specfun import theta_kernel, theta_sum, xi  # noqa: F401
 
 __all__ = ["XiDistribution", "DensityTable"]
 
-# density support: each series term carries e^{-pi e^{2|y|}}, so beyond
-# |y| = 12 the density is zero to hundreds of digits
-_Y_SUPPORT = 12.0
 # beyond this |y| (pi e^{2|y|} > 800) every series term underflows to 0 in float64
 _Y_UNDERFLOW = 0.5 * math.log(800.0 / math.pi)
 _TABLE_NODES = 4001
@@ -90,21 +87,13 @@ class XiDistribution:
 
     # ------------------------------------------------------------- density
 
-    def density(self, y: float) -> float:
-        """Two-branch theta-series density P_sigma(y) at one point.
+    def density(self, y):
+        """Two-branch theta-series density P_sigma(y), elementwise.
 
-        Each value equals the matching element of ``density_array``: both
-        weight ``theta_sum`` with numpy's exp, in the same order.
+        A scalar y gives a float, an array an array of its shape; beyond
+        |y| = ``_Y_UNDERFLOW`` the value is exactly 0.  The theta series is
+        one ``theta_sum`` call over the whole array.
         """
-        y = float(y)
-        if abs(y) > _Y_UNDERFLOW:
-            return 0.0
-        s = theta_sum(np.exp(abs(y)), min(self.acc.abs_tol, 1e-15))
-        w = np.exp((-self.sigma if y <= 0.0 else 1.0 - self.sigma) * y)
-        return float(2.0 * (s * w) / self.xi_sigma)
-
-    def density_array(self, y) -> np.ndarray:
-        """``density`` over an array, with one ``theta_sum`` call."""
         y = np.asarray(y, dtype=float)
         out = np.zeros_like(y)
         alive = np.abs(y) <= _Y_UNDERFLOW
@@ -112,15 +101,23 @@ class XiDistribution:
         s = theta_sum(np.exp(np.abs(ya)), min(self.acc.abs_tol, 1e-15))
         w = np.exp(np.where(ya <= 0.0, -self.sigma, 1.0 - self.sigma) * ya)
         out[alive] = 2.0 * (s * w) / self.xi_sigma
-        return out
+        return float(out) if out.ndim == 0 else out
+
+    # bench/tracing.py wraps this name
+    density_array = density
 
     def panel_cdf(self, grid: np.ndarray) -> np.ndarray:
         """Mass between grid[0] and each grid point, by 5-point Gauss-Legendre panels."""
         a, b = grid[:-1], grid[1:]
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         nodes = mid[:, None] + half[:, None] * _GL_X[None, :]
-        masses = (self.density_array(nodes.ravel()).reshape(nodes.shape) * _GL_W[None, :]).sum(axis=1) * half
+        masses = (self.density(nodes.ravel()).reshape(nodes.shape) * _GL_W[None, :]).sum(axis=1) * half
         return np.concatenate([[0.0], np.cumsum(masses)])
+
+    def _quad_tol_rate(self) -> tuple[float, float]:
+        # tolerance and rate of every integral of the density: the theta series needs
+        # panels no wider than ~1 (rate 4), and e^{-sigma y}, e^{(1-sigma) y} add theirs
+        return max(self.acc.abs_tol, 1e-11), 4.0 + max(abs(self.sigma), abs(1.0 - self.sigma))
 
     # ---------------------------------------------- characteristic function
 
@@ -145,31 +142,34 @@ class XiDistribution:
         t = np.asarray(t, dtype=float)
         if not np.all(np.abs(t) <= 50.0):
             raise DomainError("cf_from_density is calibrated for |t| <= 50")
-        tol = max(self.acc.abs_tol, 1e-11)
-        # the theta series needs panels no wider than ~1 (rate 4); the weights
-        # e^{-sigma y} and e^{(1-sigma) y} add their own rates
-        rate = 4.0 + max(abs(self.sigma), abs(1.0 - self.sigma))
-        left = fourier_quad(self.density_array, -_Y_UNDERFLOW, 0.0, t, abs_tol=tol, rate=rate)
-        right = fourier_quad(self.density_array, 0.0, _Y_UNDERFLOW, t, abs_tol=tol, rate=rate)
+        tol, rate = self._quad_tol_rate()
+        left = fourier_quad(self.density, -_Y_UNDERFLOW, 0.0, t, abs_tol=tol, rate=rate)
+        right = fourier_quad(self.density, 0.0, _Y_UNDERFLOW, t, abs_tol=tol, rate=rate)
         return left + right
 
     # ------------------------------------------------------- cdf / quantile
 
     def cdf(self, y: float) -> float:
-        y = float(y)
-        if y <= -_Y_SUPPORT:
+        """P(Y <= y): the density integrated over [-Y, min(y, Y)], Y = ``_Y_UNDERFLOW``.
+
+        Split at the derivative kink at 0, each piece is one ``quad_checked``
+        panel rule at ``cf_from_density``'s rate and tolerance.  The density
+        is exactly 0 beyond Y, so y >= Y integrates the whole support.
+        """
+        y = min(float(y), _Y_UNDERFLOW)
+        if y <= -_Y_UNDERFLOW:
             return 0.0
-        if y >= _Y_SUPPORT:
-            return 1.0
-        tol = max(self.acc.abs_tol, 1e-11)
-        return quad_checked(self.density, -_Y_SUPPORT, y, abs_tol=tol, limit=800)
+        tol, rate = self._quad_tol_rate()
+        if y <= 0.0:
+            return quad_checked(self.density, -_Y_UNDERFLOW, y, abs_tol=tol, rate=rate)
+        left = quad_checked(self.density, -_Y_UNDERFLOW, 0.0, abs_tol=tol, rate=rate)
+        return left + quad_checked(self.density, 0.0, y, abs_tol=tol, rate=rate)
 
     def quantile(self, u: float) -> float:
         """Inverse CDF by monotone bracketing + bisection to 1e-9 in y."""
         if not 0.0 < u < 1.0:
             raise DomainError("quantile needs 0 < u < 1")
-        lo, hi = -_Y_SUPPORT, _Y_SUPPORT
-        f_lo = 0.0
+        lo, hi = -_Y_UNDERFLOW, _Y_UNDERFLOW
         # table lookup narrows the bracket before resorting to quadrature
         table = self._table()
         i = int(np.searchsorted(table.cdf, u))
@@ -218,4 +218,4 @@ def _build_table(sigma: float) -> DensityTable:
     grid = 40.0 * np.sinh(6.0 * u) / math.sinh(6.0)
     grid[_TABLE_NODES // 2] = 0.0
     dist = XiDistribution(sigma)
-    return DensityTable(grid=grid, pdf=dist.density_array(grid), cdf=dist.panel_cdf(grid))
+    return DensityTable(grid=grid, pdf=dist.density(grid), cdf=dist.panel_cdf(grid))

@@ -1,15 +1,17 @@
 """Quadrature under this package's error policy: meet abs_tol or raise AccuracyError.
 
-Two rules live here:
+Every integral is a fixed 16-point Gauss-Legendre rule on equal panels whose
+count follows from the interval length and the integrand's declared
+``rate``.  The rule runs on n and on 2n panels; the 2n-panel value is
+returned, and its certificate is its difference from the n-panel value.
 
-* ``quad_checked`` / ``quad_complex`` wrap adaptive QUADPACK (scipy's
-  ``quad``) for one integral at a time; QUADPACK's error estimate is the
-  certificate.
-* ``fourier_quad`` is a fixed Gauss-Legendre panel rule for the transforms
-  int_a^b f(x) K(omega x) dx over a whole array of frequencies omega.  f is
-  evaluated once per rule on the nodes, and every omega costs one row of a
-  blocked (omega x node) matrix product.  The result on 2n panels is
-  returned; its certificate is its difference from the n-panel result.
+* ``quad_checked`` is the plain integral int_a^b f(x) dx of a real or
+  complex integrand.
+* ``fourier_quad`` is the transform int_a^b f(x) K(omega x) dx over a whole
+  array of frequencies omega.  f is evaluated once per rule on the nodes, and
+  every omega costs one row of a blocked (omega x node) matrix product.
+
+In both, f takes an array of nodes and returns an array of its shape.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import quad
 
 from .accuracy import AccuracyError
 
@@ -35,29 +36,9 @@ _GL16_W = np.concatenate([_GL16_POS_W[::-1], _GL16_POS_W])
 # radians of e^{i omega x} (plus the caller's rate) that one panel spans
 _PANEL_PHASE = 4.0
 # (omega x node) blocks hold at most this many entries, 256 kB as complex; a
-# kernel keeps several such temporaries at once.  Over 11 cross-check ops
-# (41 t, K = 10^4) the peak RSS grew 0.9 MB more than with per-t QUADPACK at
-# 4x this size, and no more at this size, at no measured cost in time
+# kernel keeps several such temporaries at once.  Blocks 4x this size raised
+# the peak RSS of 11 cross-check ops (41 t, K = 10^4) by 0.9 MB, at no gain in time
 _BLOCK_ENTRIES = 1 << 14
-
-
-def quad_checked(f, a, b, abs_tol=1e-11, limit=400):
-    """Adaptive quadrature of a real integrand with a hard error gate."""
-    out = quad(f, a, b, epsabs=abs_tol * 0.1, epsrel=0.0, limit=limit, full_output=1)
-    value, err = out[0], out[1]
-    if len(out) > 3:  # explanation string present => QUADPACK flagged trouble
-        if err > abs_tol:
-            raise AccuracyError(f"quadrature on [{a}, {b}] did not converge", achieved=err)
-    if err > abs_tol:
-        raise AccuracyError(f"quadrature on [{a}, {b}] above tolerance", achieved=err)
-    return value
-
-
-def quad_complex(f, a, b, abs_tol=1e-11, limit=400):
-    """Complex-valued integrand: integrate real and imaginary parts."""
-    re = quad_checked(lambda x: f(x).real, a, b, abs_tol=abs_tol, limit=limit)
-    im = quad_checked(lambda x: f(x).imag, a, b, abs_tol=abs_tol, limit=limit)
-    return complex(re, im)
 
 
 def _eiu(u):
@@ -94,25 +75,41 @@ def _panel_rule(a: float, b: float, n: int):
     return (mids[:, None] + half * _GL16_X).ravel(), np.tile(half * _GL16_W, n)
 
 
+def _certified(rule, a: float, b: float, reach: float, abs_tol: float):
+    """rule(nodes, weights) on 2n panels of [a, b], n = ceil((b - a) reach / ``_PANEL_PHASE``).
+
+    AccuracyError when it differs from the n-panel value by more than abs_tol
+    (in the largest element, for an array-valued rule).
+    """
+    n = max(1, math.ceil((b - a) * reach / _PANEL_PHASE))
+    coarse, fine = [rule(*_panel_rule(a, b, m)) for m in (n, 2 * n)]
+    err = float(np.max(np.abs(fine - coarse), initial=0.0))
+    if not err <= abs_tol:
+        raise AccuracyError(f"panel quadrature on [{a}, {b}] above tolerance", achieved=err)
+    return fine
+
+
+def quad_checked(f, a, b, abs_tol=1e-11, rate=1.0):
+    """int_a^b f(x) dx by Gauss-Legendre panels, certified to abs_tol.
+
+    f must be smooth on [a, b] and vary on length scales no shorter than
+    1/``rate``; it may be real or complex, and the result (float or
+    complex) follows it.  A panel spans ``_PANEL_PHASE`` / rate.
+    """
+    return _certified(lambda x, w: w @ f(x), a, b, rate, abs_tol).item()
+
+
 def fourier_quad(f, a, b, omega, abs_tol=1e-10, rate=1.0, kernel=_eiu):
-    """int_a^b f(x) kernel(omega x) dx for every omega, by fixed Gauss-Legendre panels.
+    """int_a^b f(x) kernel(omega x) dx for every omega, by Gauss-Legendre panels.
 
     ``kernel`` (default e^{iu}) maps an array of u to complex values.  f
-    takes an array of nodes; it must be smooth on [a, b] and vary on length
-    scales no shorter than 1/``rate``.  A panel spans ``_PANEL_PHASE``
-    radians of max|omega| + rate.  The value on 2n panels is returned;
-    AccuracyError is raised when it differs from the n-panel value by more
-    than abs_tol.  A scalar omega gives a complex, an array an array of its
-    shape.
+    must be smooth on [a, b] and vary on length scales no shorter than
+    1/``rate``; a panel spans ``_PANEL_PHASE`` radians of max|omega| + rate.
+    The certificate (``quad_checked``'s) bounds the largest error over
+    omega.  A scalar omega gives a complex, an array an array of its shape.
     """
     omega = np.asarray(omega, dtype=float)
     flat = omega.ravel()
     reach = float(np.max(np.abs(flat), initial=0.0)) + rate
-    n = max(1, math.ceil((b - a) * reach / _PANEL_PHASE))
-    coarse, fine = [
-        kernel_sum(kernel, flat, x, w * f(x)) for x, w in (_panel_rule(a, b, n), _panel_rule(a, b, 2 * n))
-    ]
-    err = float(np.max(np.abs(fine - coarse), initial=0.0))
-    if not err <= abs_tol:
-        raise AccuracyError(f"panel quadrature on [{a}, {b}] above tolerance", achieved=err)
+    fine = _certified(lambda x, w: kernel_sum(kernel, flat, x, w * f(x)), a, b, reach, abs_tol)
     return complex(fine[0]) if omega.ndim == 0 else fine.reshape(omega.shape)

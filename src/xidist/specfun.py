@@ -31,10 +31,10 @@ from __future__ import annotations
 
 import cmath
 import math
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import bernoulli
 
 from .accuracy import (
     DEFAULT_ACCURACY,
@@ -44,6 +44,7 @@ from .accuracy import (
     PoleError,
     ensure_finite,
 )
+from .quadrature import quad_checked
 
 __all__ = [
     "log_gamma",
@@ -71,8 +72,16 @@ _Z_SWITCH = 1000.0
 
 # ----------------------------------------------------------------- log Gamma
 
+def _bernoulli_numbers(n: int) -> list[float]:
+    """B_0..B_n (B_1 = -1/2), exact by sum_{k<=m} C(m+1, k) B_k = 0, each rounded once."""
+    b = [Fraction(1), Fraction(-1, 2)] + [Fraction(0)] * (n - 1)
+    for m in range(2, n + 1, 2):  # odd B_m beyond B_1 vanish
+        b[m] = -(1 - Fraction(m + 1, 2) + sum(math.comb(m + 1, k) * b[k] for k in range(2, m, 2))) / (m + 1)
+    return [float(v) for v in b]
+
+
 # Stirling tail coefficients B_{2k} / (2k (2k-1)).
-_B = bernoulli(60)
+_B = _bernoulli_numbers(60)
 _STIRLING = [_B[2 * k] / (2 * k * (2 * k - 1)) for k in range(1, 15)]
 _STIRLING_SHIFT = 9.0  # recurrence target: Re z >= 9 puts us in the Stirling region
 
@@ -223,7 +232,8 @@ def zeta(s: complex, acc: EvalAccuracy = DEFAULT_ACCURACY) -> complex:
         # zeta(1-s) has its pole at s = 0; pair it with the sin zero explicitly
         w = _pole_free_zeta(u)  # (u-1) zeta(u) -> 1
         half = 0.5 * math.pi * z
-        sin_over_s = 0.5 * math.pi if z == 0 else cmath.sin(half) / z
+        # sin(pi s/2)/s = pi/2 (1 - O(s^2)); below |s| = 1e-150 sin(pi s/2) is subnormal and inexact
+        sin_over_s = 0.5 * math.pi if abs(z) < 1e-150 else cmath.sin(half) / z
         pref = cmath.exp(z * _LN_2 + (z - 1.0) * _LN_PI + log_gamma(u))
         return -pref * sin_over_s * w
     logv = (
@@ -307,22 +317,21 @@ def theta_sum(x, abs_tol: float = 1e-16):
 def xi_theta(s: complex, acc: EvalAccuracy = DEFAULT_ACCURACY) -> complex:
     """xi(s) by the theta-kernel integral; an independent route to ``xi``.
 
-    The integrand is summed to the Gaussian tail bound and integrated
-    adaptively over [1, X]; beyond X = 8 the integrand is below 1e-180 for
-    |Re s| <= 10 so the truncation is far inside any requested tolerance.
+    The integrand (one ``theta_sum`` call over the panel nodes) is integrated
+    over [1, X] by ``quad_checked``, certified to max(abs_tol, 1e-13); beyond
+    X = 8 it is below 1e-180 for |Re s| <= 10, far inside any tolerance.
     """
-    from .quadrature import quad_complex  # deferred: quadrature pulls in scipy
-
     z = ensure_finite(s, "xi_theta argument")
     tol = max(acc.abs_tol, 1e-13)
 
-    def integrand(x: float) -> complex:
-        sf = theta_sum(x, abs_tol=tol)
-        return sf * (cmath.exp((z - 1.0) * math.log(x)) + cmath.exp(-z * math.log(x)))
+    def integrand(x):
+        log_x = np.log(x)
+        return theta_sum(x, abs_tol=tol) * (np.exp((z - 1.0) * log_x) + np.exp(-z * log_x))
 
     x_hi = 8.0 + 0.1 * max(0.0, abs(z.real) - 10.0)
-    limit = 200 + 8 * int(abs(z.imag))
-    return 2.0 * quad_complex(integrand, 1.0, x_hi, abs_tol=tol, limit=limit)
+    # x^{+-i Im s} turns at rate |Im s| near x = 1; the theta series varies on the unit scale
+    rate = abs(z.imag) + 4.0
+    return 2.0 * quad_checked(integrand, 1.0, x_hi, abs_tol=tol, rate=rate)
 
 
 # ------------------------------------------------------- Riemann-Siegel Z(t)

@@ -90,7 +90,9 @@ def counting_estimate(t: float) -> float:
 
 
 def gamma_ceiling(n_zeros: int) -> float:
-    """Tight ordinate below which the counting estimate promises n_zeros zeros."""
+    """Tight ordinate below which the counting estimate promises n_zeros zeros (n_zeros >= 1)."""
+    if n_zeros < 1:
+        raise DomainError(f"need at least one zero, got {n_zeros}")
     hi = 100.0
     while counting_estimate(hi) < n_zeros + 2:
         hi *= 1.25

@@ -187,6 +187,23 @@ def test_os_error_exit_code(tmp_path, capsys):
     assert not cache.parent.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--sigma", "2", "--t", "3", "--backend", "zeros", "--K", "-5"],
+        ["verify", "--sigma", "2", "--suite", "convergence", "--K", "-3"],
+    ],
+    ids=["eval", "verify"],
+)
+def test_zero_count_below_one_exit_code(tmp_path, argv, capsys):
+    cache = tmp_path / "zc.txt"
+    code, out, err = run_cli(argv + ["--cache", str(cache)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert not cache.exists()
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["eval", "--sigma", "2"]) == 2
 

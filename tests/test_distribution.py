@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -121,6 +122,30 @@ def test_cdf_half_at_zero(dhalf):
 
 def test_cdf_far_left(d2):
     assert d2.cdf(-40.0) <= 1e-9
+
+
+def _mp_cdf(sigma: float, y: float) -> float:
+    # the two-branch theta-series density and its normalizer xi(sigma), in mpmath
+    with mp.workdps(18):
+        s = mp.mpf(sigma)
+        norm = s * (s - 1) * mp.pi ** (-s / 2) * mp.gamma(s / 2) * mp.zeta(s)
+
+        def dens(v):
+            x2 = [(n * mp.exp(abs(v))) ** 2 for n in range(1, 5)]
+            series = sum(2 * mp.pi * (2 * mp.pi * u2 * u2 - 3 * u2) * mp.exp(-mp.pi * u2) for u2 in x2)
+            return 2 * series * mp.exp((-s if v <= 0 else 1 - s) * v) / norm
+
+        # beyond |v| = 3.2 every term is below e^{-pi e^{6.4}} < 1e-800
+        cuts = [-3.2, -1, 0, 1, 3.2]
+        return float(mp.quad(dens, [c for c in cuts if c < y] + [mp.mpf(y)]))
+
+
+@pytest.mark.parametrize("sigma", [-1.5, 0.5, 2.0, 3.0])
+def test_cdf_matches_mpmath(sigma):
+    d = XiDistribution(sigma)
+    # one y in each stratum: left tail, centre, right side, beyond the support edge 2.77
+    for y in np.random.default_rng(20261018).uniform([-3.0, -1.0, 1.0, 2.8], [-1.0, 1.0, 2.8, 3.5]):
+        assert abs(d.cdf(y) - _mp_cdf(sigma, y)) <= 1e-12
 
 
 def test_quantile_median_self_consistency(d2):

@@ -139,6 +139,12 @@ def test_cf_from_zeros_insufficient(small_zeros):
         cf_from_zeros(2.0, 1.0, small_zeros, len(small_zeros) + 1)
 
 
+@pytest.mark.parametrize("k", [0, -5])
+def test_cf_from_zeros_needs_one_zero(small_zeros, k):
+    with pytest.raises(DomainError):
+        cf_from_zeros(2.0, 3.0, small_zeros, k)
+
+
 def test_off_line_four_factor_closed_form():
     sigma, beta, gamma, t = 1.5, 0.7, 25.0, 2.0
     got = cmath.exp(off_line_factor_log(sigma, beta, gamma, t))

@@ -26,6 +26,13 @@ GAMMA1 = 14.134725141734694
 
 # ------------------------------------------------------------- log_gamma
 
+def test_bernoulli_table_is_exact():
+    from xidist.specfun import _B
+
+    # each entry is the exact rational rounded once (mpmath's bernoulli(1) is -1/2 too)
+    assert list(_B) == [float(mp.bernoulli(k)) for k in range(61)]
+
+
 def test_log_gamma_half():
     assert abs(log_gamma(0.5 + 0j) - math.log(math.sqrt(math.pi))) < 1e-14
 
@@ -145,6 +152,12 @@ def test_xi_functional_equation(sigma, t):
     s = complex(sigma, t)
     a, b = xi(s), xi(1 - s)
     assert abs(a - b) <= 1e-10 * (1 + abs(a))
+
+
+def test_xi_near_zero_subnormal():
+    # sin(pi s/2) of a subnormal s carries a subnormal's few digits
+    for s in (5e-324j, 1e-310 + 0j, 1e-160j):
+        assert abs(xi(s) - xi(1.0 + 0j)) <= 1e-14
 
 
 @settings(max_examples=40, deadline=None)

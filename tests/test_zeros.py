@@ -10,6 +10,7 @@ from xidist.zeros import (
     ZeroRecord,
     counting_estimate,
     find_zeros,
+    gamma_ceiling,
     load_cache,
     save_cache,
 )
@@ -58,6 +59,12 @@ def test_completeness_checkpoints(small_zeros):
 def test_tmax_too_small():
     with pytest.raises(DomainError):
         find_zeros(10.0)
+
+
+@pytest.mark.parametrize("k", [0, -5])
+def test_gamma_ceiling_needs_one_zero(k):
+    with pytest.raises(DomainError):
+        gamma_ceiling(k)
 
 
 def test_indices_are_one_based(small_zeros):
