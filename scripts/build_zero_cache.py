@@ -16,12 +16,11 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--tmax", type=float, default=10_000.0)
     ap.add_argument("--out", default="xidist_zeros.txt")
-    ap.add_argument("--step", type=float, default=0.05)
     args = ap.parse_args()
 
     print(f"expecting ~{counting_estimate(args.tmax):.0f} zeros below t = {args.tmax:g}")
     t0 = time.time()
-    zl = find_zeros(args.tmax, step=args.step)
+    zl = find_zeros(args.tmax)
     print(f"found {len(zl)} zeros in {time.time() - t0:.1f} s")
     save_cache(zl, args.out)
     print(f"wrote {args.out}")

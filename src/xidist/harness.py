@@ -54,7 +54,7 @@ class CrossCheckConfig:
     zero_budget: float = 5e-3  # absolute budget for the K-truncated zero product
 
     def budgets(self, sigma: float) -> dict[str, float]:
-        out = {"direct": 1e-9, "density_ft": self.base_budget}
+        out = {"direct": 1e-9, "density_ft": self.base_budget, "zeros": self.zero_budget}
         if sigma > 1.0:
             tail = prime_atom_tail_bound(sigma, self.cut)
             out["primes_triplet"] = self.base_budget + tail
@@ -84,14 +84,9 @@ class CfBackendReport:
         return max(self.residual_matrix.items(), key=lambda kv: kv[1][0])
 
     def passed(self) -> bool:
-        for (a, b), (mx, _) in self.residual_matrix.items():
-            if "zeros" in (a, b):
-                other = b if a == "zeros" else a
-                if mx > self.params["zero_budget"] + self.budgets.get(other, 1e-9):
-                    return False
-            elif mx > self.budgets.get(a, 1e-9) + self.budgets.get(b, 1e-9):
-                return False
-        return True
+        return not any(
+            mx > self.budgets[a] + self.budgets[b] for (a, b), (mx, _) in self.residual_matrix.items()
+        )
 
     def to_csv(self) -> str:
         buf = io.StringIO()

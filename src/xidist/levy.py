@@ -324,11 +324,7 @@ def prime_log_ratio(sigma: float, t: float, cut: PrimeCutoff) -> complex:
     if t == 0.0:
         return 0.0 + 0.0j
     locs, masses = prime_atoms(sigma, cut)
-    u = t * locs
-    half = np.sin(0.5 * u)
-    re = float(np.dot(masses, -2.0 * half * half))
-    im = float(np.dot(masses, np.sin(u)))
-    return complex(re, im)
+    return complex(kernel_sum(_eiu_m1, np.array([t]), locs, masses)[0])
 
 
 # --------------------------------------------------------- zero-pair factors

@@ -16,13 +16,12 @@ held to a stated accuracy and cross-checkable against an independent path:
   ample for locating sign changes.
 
 Method selection for zeta:
-  Re s > 0 : accelerated alternating series (Cohen-Rodriguez Villegas-Zagier
-             coefficients) while |Im s| <= 150; Euler-Maclaurin beyond, since
-             the alternating-series error constant grows like e^{pi|t|/2} and
-             its coefficients overflow float64 once |t| is large.  One
-             Euler-Maclaurin routine serves ``zeta`` and ``z_values``; each
-             caller chooses the head length and the tail stop (``z_values``
-             groups its ordinates so that each group shares one head length).
+  Re s > 0 : the Stieltjes-constant series of (s-1) zeta(s) within 0.1 of
+             the pole; Euler-Maclaurin everywhere else.  One Euler-Maclaurin
+             routine serves ``zeta`` and ``z_values``, with one head-length
+             rule (about 0.55 |Im s| terms); each caller chooses the tail stop
+             (``z_values`` groups its ordinates so that each group shares the
+             head length of its upper edge).
   Re s <= 0: reflection through the functional equation, assembled in log
              space so that the Gamma/sin factors cannot overflow.
 """
@@ -142,26 +141,6 @@ def _pole_free_zeta(s: complex) -> complex:
     return 1.0 + acc
 
 
-def _cvz_coefficients(n: int) -> np.ndarray:
-    # d_k = n * sum_{i<=k} (n+i-1)! 4^i / ((n-i)! (2i)!), built by term ratios
-    d = np.empty(n + 1)
-    term = 1.0
-    d[0] = 1.0
-    for i in range(1, n + 1):
-        term *= 4.0 * (n + i - 1) * (n - i + 1) / ((2 * i - 1) * (2 * i))
-        d[i] = d[i - 1] + term
-    return d
-
-
-def _zeta_alternating(s: complex, denom: complex, n: int) -> complex:
-    d = _cvz_coefficients(n)
-    k = np.arange(n)
-    signs = 1.0 - 2.0 * (k % 2)
-    powers = np.exp(-s * np.log(k + 1.0))
-    total = np.sum(signs * (d[n] - d[:n]) * powers)
-    return complex(total / (d[n] * denom))
-
-
 # Euler-Maclaurin tail: coefficients B_{2k}/(2k)! and their successive ratios.
 _EM_KMAX = 28
 _BF = [_B[2 * k] / math.factorial(2 * k) for k in range(1, _EM_KMAX + 1)]
@@ -200,20 +179,16 @@ def _log_sin(w: complex) -> complex:
     return -1j * w + cmath.log(0.5j)
 
 
+def _em_head_length(t_abs: float) -> int:
+    """Euler-Maclaurin head length for ordinates |Im s| <= t_abs."""
+    return max(18, int(0.55 * t_abs) + 8)
+
+
 def _zeta_rhs(s: complex, acc: EvalAccuracy) -> complex:
     # Re s > 0 dispatcher
     if abs(s - 1.0) <= 0.1:
         return _pole_free_zeta(s) / (s - 1.0)
-    if abs(s.imag) <= 150.0:
-        denom = 1.0 - cmath.exp((1.0 - s) * _LN_2)
-        # the alternating-series form divides by 1 - 2^{1-s}; avoid its zeros.
-        # error ~ (3+sqrt 8)^{-n} (1+2|t|) e^{pi|t|/2}, so n grows with |t|
-        if abs(denom) >= 0.01:
-            n = int(0.892 * abs(s.imag)) + 28
-            if n > acc.max_terms:
-                raise AccuracyError(f"alternating series needs {n} terms, max_terms is {acc.max_terms}")
-            return _zeta_alternating(s, denom, n)
-    n_cut = max(18, int(0.55 * abs(s.imag)) + 8)
+    n_cut = _em_head_length(abs(s.imag))
     if n_cut > acc.max_terms:
         raise AccuracyError(f"Euler-Maclaurin needs {n_cut} head terms, max_terms is {acc.max_terms}")
     return complex(_zeta_em(s, n_cut, 0.02 * acc.abs_tol))
@@ -417,8 +392,7 @@ def z_values(ts) -> np.ndarray:
         bins = np.digitize(tl, _EM_CHUNK_EDGES[1:-1])
         for b in np.unique(bins):
             sel = bins == b
-            n_cut = max(18, int(0.55 * _EM_CHUNK_EDGES[b + 1]) + 8)
-            zeta_half[sel] = _zeta_em(0.5 + 1j * tl[sel], n_cut, 1e-15)
+            zeta_half[sel] = _zeta_em(0.5 + 1j * tl[sel], _em_head_length(_EM_CHUNK_EDGES[b + 1]), 1e-15)
         rotated = np.exp(1j * riemann_siegel_theta(tl)) * zeta_half
         # the rotated value is real analytically; a large residue flags a bug
         if np.any(np.abs(rotated.imag) > 1e-6 * (1.0 + np.abs(rotated))):

@@ -39,6 +39,9 @@ __all__ = [
 ]
 
 _SCAN_START = 10.0  # N(10) ~ 0.02: no zeros below
+# coarse scan step; the rescan steps (1/16, 1/256 of it) and the checkpoint
+# thresholds of ``_suspect_windows`` are tuned to this value
+_SCAN_STEP = 0.05
 _CHECKPOINT_SPACING = 25.0
 
 
@@ -134,7 +137,7 @@ def _scan(lo: float, hi: float, step: float):
     return _brackets_from_grid(grid, z_values(grid))
 
 
-def find_zeros(t_max: float, step: float = 0.05) -> ZeroList:
+def find_zeros(t_max: float) -> ZeroList:
     """All zeros with gamma <= t_max, bisected to bracket halfwidth <= 1e-9.
 
     Raises MissedZeroError when the final count disagrees with the counting
@@ -145,9 +148,9 @@ def find_zeros(t_max: float, step: float = 0.05) -> ZeroList:
     # 1e-9 dominates the 15-digit decimal quantization of the cache format,
     # so reloaded brackets still straddle their sign change
     halfwidth = 1e-9
-    lo, hi = _scan(_SCAN_START, t_max + step, step)
+    lo, hi = _scan(_SCAN_START, t_max + _SCAN_STEP, _SCAN_STEP)
 
-    for round_step in (step / 16.0, step / 256.0):
+    for round_step in (_SCAN_STEP / 16.0, _SCAN_STEP / 256.0):
         bad = _suspect_windows(lo, t_max)
         if not bad:
             break
@@ -178,8 +181,7 @@ def find_zeros(t_max: float, step: float = 0.05) -> ZeroList:
         want = counting_estimate(t_check)
         if abs(have - want) > 1.0:
             raise MissedZeroError(
-                f"count {have} below t={t_check:g} vs estimate {want:.2f}; "
-                "refine the scan step"
+                f"count {have} below t={t_check:g} vs estimate {want:.2f} after the windowed rescans"
             )
     records = tuple(
         ZeroRecord(index=i + 1, gamma=float(g), bracket_halfwidth=float(h))

@@ -68,6 +68,17 @@ def test_density_csv(capsys):
     assert all(b >= a for a, b in zip(cdf, cdf[1:]))
 
 
+def test_density_cdf_column_on_coarse_rows(capsys):
+    # rows 1.5 apart straddle the density's kink at 0; the column must still be the certified cdf
+    code, out, _ = run_cli(["density", "--sigma", "2", "--range=-3:3:5"], capsys)
+    assert code == 0
+    dist = XiDistribution(2.0)
+    rows = [[float(v) for v in ln.split(",")] for ln in out.strip().splitlines()[1:]]
+    assert len(rows) == 5
+    for y, _, c in rows:
+        assert abs(c - dist.cdf(y)) <= 1e-12
+
+
 def test_density_bad_range(capsys):
     code, _, err = run_cli(["density", "--sigma", "2", "--range", "5:1:9"], capsys)
     assert code == 2

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,14 @@ def test_cross_check_residuals_within_budgets(config):
         if "zeros" in (a, b):
             continue  # K=38 truncation; covered by the acceptance suite at K=1e4
         assert mx <= budgets[a] + budgets[b]
+
+
+def test_cross_check_zero_budget_decides_zero_pairs(config):
+    # at K=38 the zero product is off by ~0.056 at sigma = 2: outside 5e-3, inside 0.06
+    t = np.arange(-3.0, 3.5, 1.0)
+    assert config.budgets(2.0)["zeros"] == config.zero_budget
+    assert not run_cross_check(2.0, t, config).passed()
+    assert run_cross_check(2.0, t, dataclasses.replace(config, zero_budget=0.06)).passed()
 
 
 def test_cross_check_zero_grid_is_exact(config):

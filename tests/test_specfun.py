@@ -88,6 +88,20 @@ def test_zeta_pole():
         zeta(1 + 0j)
 
 
+def _low_ordinate_points():
+    """Seeded points with 0 < Re s <= 12, |Im s| <= 150, where Euler-Maclaurin runs at its shortest heads."""
+    rng = np.random.default_rng(2024)
+    bulk = [complex(rng.uniform(0.001, 12.0), rng.uniform(-150.0, 150.0)) for _ in range(32)]
+    # within 1e-3 of the zeros 1 + 2 pi i k / log 2 of 1 - 2^{1-s}
+    eta_zeros = [
+        complex(1.0 + rng.uniform(-5e-4, 5e-4), 2.0 * math.pi * k / math.log(2.0) + rng.uniform(-5e-4, 5e-4))
+        for k in (-13, -1, 2, 16)
+    ]
+    # 0.1 < |s - 1| <= 0.3: just outside the Stieltjes pole series
+    ring = [1.0 + rng.uniform(0.11, 0.3) * complex(math.cos(a), math.sin(a)) for a in rng.uniform(0.0, 2.0 * math.pi, 4)]
+    return [complex(round(s.real, 6), round(s.imag, 6)) for s in bulk + eta_zeros + ring]
+
+
 @pytest.mark.parametrize(
     "s",
     [
@@ -100,9 +114,10 @@ def test_zeta_pole():
         -4.5 + 3j,
         -0.25 + 0j,
         -1 + 0j,
-        1 + 9.06472j,  # near a zero of 1 - 2^{1-s}: exercises the EM fallback
+        1 + 9.06472j,  # within 3e-7 of the zero 1 + 2 pi i / log 2 of 1 - 2^{1-s}
         0.75 + 151j,
-    ],
+    ]
+    + _low_ordinate_points(),
 )
 def test_zeta_against_oracle(s):
     ref = complex(mp.zeta(s))
