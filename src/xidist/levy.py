@@ -385,13 +385,12 @@ def zero_tail_estimate(sigma: float, t, zl: ZeroList, k: int):
     """Crude magnitude of the dropped exponent sum over zeros beyond the K-th (t scalar or array).
 
     Per zero the exponent is ~ t^2/gamma^2 - 2i(sigma-1/2)t/gamma^2; zeros
-    inside the list range are summed directly and the range beyond t_max uses
-    the zero-density integral (log(T/2pi)+1)/(2 pi T).
+    inside the list range come from its cached suffix sums (O(1) per call) and
+    the range beyond t_max uses the zero-density integral (log(T/2pi)+1)/(2 pi T).
     """
     a = sigma - 0.5
-    g = zl.gammas[k:]
     scale = t * t + 2.0 * a * np.abs(t)
-    inside = float(np.sum(1.0 / (g * g))) if len(g) else 0.0
+    inside = float(zl.inv_square_suffix[min(k, len(zl))])
     t_edge = zl.t_max
     beyond = (math.log(t_edge / (2.0 * math.pi)) + 1.0) / (2.0 * math.pi * t_edge)
     return scale * (inside + beyond)

@@ -1,13 +1,18 @@
 r"""Locate, certify, cache, and serve the positive ordinates of the
 nontrivial zeta zeros on the critical line.
 
-Strategy: uniform sign-change scan of Z(t) (step 0.05), bisection of every
-bracket to halfwidth <= 1e-9, then a completeness certificate against the
-counting estimate N(T) ~ theta(T)/pi + 1.  Windows where the running count
-drifts from the estimate are rescanned at 16x (then 256x) finer resolution;
-this is what recovers pathologically close pairs (the tightest gap below
-t = 1e4 is ~0.0377, near t ~ 7005).  A list that still fails the certificate
-raises MissedZeroError rather than being returned.
+Strategy: uniform sign-change scan of Z(t) (step 0.05), then a
+completeness certificate against the counting estimate
+N(T) ~ theta(T)/pi + 1.  Windows where the running count drifts from the
+estimate are rescanned at 16x (then 256x) finer resolution; this is what
+recovers pathologically close pairs (the tightest gap below t = 1e4 is
+~0.0377, near t ~ 7005).  A list that still fails the certificate raises
+MissedZeroError rather than being returned.  Each bracket, with the Z values
+the scan computed at its ends, is refined by Illinois regula falsi; gamma is
+the secant root of the final bracket, and the recorded halfwidth h <= 1e-9
+covers that bracket, a noise floor and the cache's 15-digit rounding, so Z
+changes sign across [gamma - h, gamma + h] in memory and after a reload.
+t_max is capped at 1e5.
 
 Every located zero is recorded with real part 1/2.  The data model carries a
 separate sequence for hypothetical off-line zeros so that downstream code can
@@ -43,11 +48,22 @@ _SCAN_START = 10.0  # N(10) ~ 0.02: no zeros below
 # thresholds of ``_suspect_windows`` are tuned to this value
 _SCAN_STEP = 0.05
 _CHECKPOINT_SPACING = 25.0
+_HALFWIDTH = 1e-9  # largest record halfwidth
+_STEP_MIN = 0.5 * _HALFWIDTH  # least distance of a refinement point from the bracket ends
+# bisect after this many passes in a row that did not halve a bracket; fewer cut
+# into Illinois cycles (at 2, refinement below t = 10020 takes 7.1 Z values per zero, at 3, 5.1)
+_STALL_PASSES = 3
+# least distance from a root to the ends of its record bracket: |Z| there
+# stays far above the ~1e-12 noise of its evaluation
+_NOISE_FLOOR = 1e-10
+# the scan holds t_max/0.05 grid points, and from 1e5 on the 15-digit cache
+# quantum (5e-10) leaves no room under _HALFWIDTH for the noise floor
+_T_MAX_LIMIT = 1e5
 
 
 @dataclass(frozen=True)
 class ZeroRecord:
-    """One bracketed zero ordinate; Z changes sign across the bracket."""
+    """One zero ordinate; Z changes sign across [gamma - h, gamma + h], h = bracket_halfwidth."""
 
     index: int
     gamma: float
@@ -81,6 +97,21 @@ class ZeroList:
     def gammas(self) -> np.ndarray:
         return np.array([r.gamma for r in self.records])
 
+    @cached_property
+    def inv_square_suffix(self) -> np.ndarray:
+        """S[k] = sum_{j >= k} 1/gamma_j^2 over 0-based j, with S[len] = 0, each to ~1 ulp.
+
+        A reversed running sum plus the exact rounding error of each of its
+        additions (TwoSum, as in Ogita, Rump & Oishi's Sum2).
+        """
+        g = self.gammas[::-1]
+        x = 1.0 / (g * g)
+        s = np.cumsum(x)
+        prev = np.concatenate([[0.0], s[:-1]])
+        x_part = s - prev
+        err = (prev - (s - x_part)) + (x - x_part)
+        return np.concatenate([(s + np.cumsum(err))[::-1], [0.0]])
+
     def count_below(self, t: float) -> int:
         return int(np.searchsorted(self.gammas, t, side="right"))
 
@@ -109,63 +140,96 @@ def gamma_ceiling(n_zeros: int) -> float:
     return math.ceil(hi)
 
 
-def _brackets_from_grid(grid: np.ndarray, z: np.ndarray):
-    s = np.sign(z)
-    # a grid point landing exactly on a zero joins the interval to its right
-    s[s == 0.0] = 1.0
-    idx = np.flatnonzero(s[:-1] * s[1:] < 0.0)
-    return grid[idx], grid[idx + 1]
-
-
-def _bisect_brackets(lo: np.ndarray, hi: np.ndarray, halfwidth: float) -> tuple[np.ndarray, np.ndarray]:
-    z_lo = z_values(lo)
-    steps = int(math.ceil(math.log2(float(np.max(hi - lo)) / halfwidth))) + 1
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        z_mid = z_values(mid)
-        same = np.sign(z_mid) == np.sign(z_lo)
-        lo = np.where(same, mid, lo)
-        z_lo = np.where(same, z_mid, z_lo)
-        hi = np.where(same, hi, mid)
-        if float(np.max(hi - lo)) <= 2.0 * halfwidth * 0.999:
-            break
-    return lo, hi
-
-
-def _scan(lo: float, hi: float, step: float):
+def _scan(lo: float, hi: float, step: float) -> np.ndarray:
+    """Sign-change brackets of Z on a uniform grid, as rows (lo, hi, Z(lo), Z(hi))."""
     grid = np.arange(lo, hi + step, step)
-    return _brackets_from_grid(grid, z_values(grid))
+    z = z_values(grid)
+    # a grid point landing exactly on a zero joins the interval to its right
+    pos = z >= 0.0
+    idx = np.flatnonzero(pos[:-1] != pos[1:])
+    return np.stack([grid[idx], grid[idx + 1], z[idx], z[idx + 1]])
+
+
+def _decimal_quantum(t: np.ndarray) -> np.ndarray:
+    """Largest error of writing t with 15 significant digits and reading it back."""
+    return 0.5 * 10.0 ** (np.floor(np.log10(t)) - 14.0) + np.spacing(t)
+
+
+def _refine(brackets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Root estimates and record halfwidths <= ``_HALFWIDTH`` for every bracket at once.
+
+    Regula falsi with the Illinois rule (Dowell & Jarratt, BIT 11, 1971): an
+    end kept twice in a row enters the next secant at half its Z value.  A
+    pass evaluates Z only at the brackets still too wide.  The new point
+    keeps ``_STEP_MIN`` from both ends, so once the secant has the root to
+    that accuracy the next step lands past it and closes the bracket; it is
+    the midpoint after ``_STALL_PASSES`` passes in a row that did not halve
+    the bracket.  Every step keeps the sign change.  The estimate is the
+    secant through the final bracket's true Z values: Illinois leaves the
+    root near one end, far from the midpoint.
+    """
+    lo, hi, z_lo, z_hi = brackets.copy()
+    gamma = np.empty(lo.size)
+    halfw = np.empty(lo.size)
+    idx = np.arange(lo.size)
+    w_lo, w_hi = z_lo.copy(), z_hi.copy()  # Illinois-weighted values that drive the secant
+    last = np.zeros(lo.size, dtype=np.int8)  # end the previous pass replaced: 1 lo, -1 hi, 0 none
+    stall = np.zeros(lo.size, dtype=np.int64)  # passes in a row that did not halve the bracket
+    while True:
+        g = lo - z_lo * (hi - lo) / (z_hi - z_lo)
+        # covers [lo, hi], the noise floor and the 15-digit rounding of g, with a quantum to spare
+        h = np.maximum(np.maximum(g - lo, hi - g), _NOISE_FLOOR) + 2.0 * _decimal_quantum(g)
+        done = h <= _HALFWIDTH
+        gamma[idx[done]] = g[done]
+        halfw[idx[done]] = h[done]
+        if done.all():
+            return gamma, halfw
+        live = ~done
+        idx, lo, hi, z_lo, z_hi, w_lo, w_hi, last, stall = (
+            v[live] for v in (idx, lo, hi, z_lo, z_hi, w_lo, w_hi, last, stall)
+        )
+        width = hi - lo
+        margin = np.minimum(_STEP_MIN, 0.5 * width)
+        c = np.clip(hi - w_hi * width / (w_hi - w_lo), lo + margin, hi - margin)
+        c = np.where(stall >= _STALL_PASSES, 0.5 * (lo + hi), c)
+        z_c = z_values(c)
+        to_lo = (z_c >= 0.0) == (z_lo >= 0.0)
+        w_hi = np.where(to_lo, np.where(last == 1, 0.5 * w_hi, w_hi), z_c)
+        w_lo = np.where(to_lo, z_c, np.where(last == -1, 0.5 * w_lo, w_lo))
+        lo, z_lo = np.where(to_lo, c, lo), np.where(to_lo, z_c, z_lo)
+        hi, z_hi = np.where(to_lo, hi, c), np.where(to_lo, z_hi, z_c)
+        last = np.where(to_lo, 1, -1).astype(np.int8)
+        stall = np.where(hi - lo > 0.5 * width, stall + 1, 0)
 
 
 def find_zeros(t_max: float) -> ZeroList:
-    """All zeros with gamma <= t_max, bisected to bracket halfwidth <= 1e-9.
+    """All zeros with gamma <= t_max, each with a record halfwidth h <= 1e-9.
 
-    Raises MissedZeroError when the final count disagrees with the counting
-    estimate by more than 1 even after two rounds of windowed rescans.
+    Brackets from the scan are refined by Illinois regula falsi; gamma is the
+    secant root of the final bracket, and [gamma - h, gamma + h] covers that
+    bracket plus a noise floor, so Z changes sign across it.  gamma and h are
+    recorded as the 15-significant-digit values the cache stores, so a list
+    equals its own save/load round trip.
+
+    Raises DomainError for t_max outside [15, 1e5] and MissedZeroError when
+    the final count disagrees with the counting estimate by more than 1 even
+    after two rounds of windowed rescans.
     """
-    if t_max < 15.0:
-        raise DomainError("find_zeros needs t_max >= 15 (first zero is near 14.13)")
-    # 1e-9 dominates the 15-digit decimal quantization of the cache format,
-    # so reloaded brackets still straddle their sign change
-    halfwidth = 1e-9
-    lo, hi = _scan(_SCAN_START, t_max + _SCAN_STEP, _SCAN_STEP)
+    _check_t_max(t_max)
+    t_max = _round15(t_max)
+    brackets = _scan(_SCAN_START, t_max + _SCAN_STEP, _SCAN_STEP)
 
     for round_step in (_SCAN_STEP / 16.0, _SCAN_STEP / 256.0):
-        bad = _suspect_windows(lo, t_max)
+        bad = _suspect_windows(brackets[0], t_max)
         if not bad:
             break
         for w_lo, w_hi in bad:
             # finer brackets supersede the coarse ones inside the window
-            inside = (lo >= w_lo) & (lo <= w_hi)
-            add_lo, add_hi = _scan(w_lo, w_hi, round_step)
-            lo = np.concatenate([lo[~inside], add_lo])
-            hi = np.concatenate([hi[~inside], add_hi])
-        order = np.argsort(lo)
-        lo, hi = lo[order], hi[order]
+            inside = (brackets[0] >= w_lo) & (brackets[0] <= w_hi)
+            brackets = np.concatenate([brackets[:, ~inside], _scan(w_lo, w_hi, round_step)], axis=1)
+        brackets = brackets[:, np.argsort(brackets[0])]
 
-    lo, hi = _bisect_brackets(lo, hi, halfwidth)
-    gammas = 0.5 * (lo + hi)
-    halfw = np.maximum(0.5 * (hi - lo), 1e-12)
+    gammas, halfw = _refine(brackets)
     order = np.argsort(gammas)
     gammas, halfw = gammas[order], halfw[order]
     # window-edge brackets can re-find a zero; zeros are never this close
@@ -184,10 +248,22 @@ def find_zeros(t_max: float) -> ZeroList:
                 f"count {have} below t={t_check:g} vs estimate {want:.2f} after the windowed rescans"
             )
     records = tuple(
-        ZeroRecord(index=i + 1, gamma=float(g), bracket_halfwidth=float(h))
+        ZeroRecord(index=i + 1, gamma=_round15(g), bracket_halfwidth=_round15(h))
         for i, (g, h) in enumerate(zip(gammas, halfw))
     )
-    return ZeroList(records=records, t_max=float(t_max))
+    return ZeroList(records=records, t_max=t_max)
+
+
+def _check_t_max(t_max: float) -> None:
+    if not 15.0 <= t_max <= _T_MAX_LIMIT:
+        raise DomainError(
+            f"find_zeros needs 15 <= t_max <= {_T_MAX_LIMIT:g} (the first zero is near 14.13), got {t_max:g}"
+        )
+
+
+def _round15(x: float) -> float:
+    """x as the cache writes it: 15 significant digits."""
+    return float(f"{x:.15g}")
 
 
 def _suspect_windows(bracket_lo: np.ndarray, t_max: float):
@@ -290,13 +366,17 @@ def load_cache(path) -> ZeroList:
 
 
 def ensure_cache(t_max: float, path=None, progress=None) -> ZeroList:
-    """Load a cache covering t_max, building (and saving) it if needed."""
+    """Load a cache covering t_max, building (and saving) it if needed.
+
+    A t_max that find_zeros refuses is refused before the build starts.
+    """
     if path is None:
         path = os.environ.get("XIDIST_ZERO_CACHE", "xidist_zeros.txt")
     if os.path.exists(path):
         zl = load_cache(path)
         if zl.t_max >= t_max:
             return zl
+    _check_t_max(t_max)
     if progress is not None:
         print(f"building zero cache to t_max={t_max:g} ...", file=progress)
         progress.flush()

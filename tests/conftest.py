@@ -10,11 +10,16 @@ def small_zeros():
 
 
 @pytest.fixture(scope="session")
-def big_zeros_path(tmp_path_factory):
-    """Cache file holding the zeros below t = 10020 (>10^4 ordinates)."""
+def big_zeros_found():
+    """The zeros below t = 10020 (>10^4 ordinates) as find_zeros returns them."""
+    return find_zeros(10020.0)
+
+
+@pytest.fixture(scope="session")
+def big_zeros_path(tmp_path_factory, big_zeros_found):
+    """Cache file holding the zeros below t = 10020."""
     path = tmp_path_factory.mktemp("zeros") / "xidist_zeros_10k.txt"
-    zl = find_zeros(10020.0)
-    save_cache(zl, path)
+    save_cache(big_zeros_found, path)
     return path
 
 

@@ -55,6 +55,32 @@ def test_eval_zeros_backend(tmp_path, capsys):
     assert "building" not in err2
 
 
+def test_eval_zeros_backend_cold_equals_warm(tmp_path, capsys):
+    # the cold call uses the list it just built, the warm call the reloaded cache
+    argv = ["eval", "--sigma", "0.55", "--t", "-9.5", "--backend", "zeros", "--K", "100",
+            "--cache", str(tmp_path / "zc.txt")]
+    code, cold, err = run_cli(argv, capsys)
+    assert code == 0 and "building zero cache" in err
+    code, warm, err = run_cli(argv, capsys)
+    assert code == 0 and err == ""
+    assert cold == warm
+
+
+def test_zeros_above_ceiling_exits_before_building(tmp_path, monkeypatch, capsys):
+    from xidist import zeros
+
+    def no_build(t_max):
+        pytest.fail("the zero table build started")
+
+    monkeypatch.setattr(zeros, "find_zeros", no_build)
+    cache = tmp_path / "zc.txt"
+    code, out, err = run_cli(["zeros", "--tmax", "1e12", "--cache", str(cache)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not cache.exists()
+
+
 def test_density_csv(capsys):
     code, out, _ = run_cli(["density", "--sigma", "2", "--range", "-1:1:9"], capsys)
     assert code == 0

@@ -35,6 +35,7 @@ from xidist.levy import (
     xi_star_triplet,
     xi_triplet,
     zero_pair_factor_log,
+    zero_tail_estimate,
 )
 from xidist.specfun import log_gamma, xi, zeta
 from xidist.zeros import ZeroList, ZeroRecord
@@ -132,6 +133,16 @@ def test_cf_from_zeros_tail_estimate_tracks_truncation(small_zeros):
     actual = abs(res.value - ref)
     # the crude estimate should be the right order of magnitude
     assert 0.05 * actual < res.tail_estimate < 50 * actual
+
+
+@pytest.mark.parametrize("k", [1, 100, 1000, 10000, 10166])
+def test_zero_tail_estimate_sums_the_zeros_beyond_k(big_zeros, k):
+    g = big_zeros.gammas[k:]
+    t_max = big_zeros.t_max
+    beyond = (math.log(t_max / (2.0 * math.pi)) + 1.0) / (2.0 * math.pi * t_max)
+    scale = 3.0**2 + 2.0 * (2.0 - 0.5) * 3.0  # t^2 + 2(sigma - 1/2)|t| at sigma = 2, t = 3
+    want = scale * (np.sum(1.0 / (g * g)) + beyond)
+    assert abs(zero_tail_estimate(2.0, 3.0, big_zeros, k) - want) <= 1e-15 * want
 
 
 def test_cf_from_zeros_insufficient(small_zeros):

@@ -46,6 +46,62 @@ def test_bracketing_invariant(small_zeros):
     assert np.all(z_values(g - h) * z_values(g + h) < 0.0)
 
 
+@pytest.mark.parametrize("which", ["big_zeros_found", "big_zeros"])
+def test_bracketing_invariant_10k(which, request):
+    # in memory and after a cache round trip: the 15-digit quantum and the
+    # evaluation noise of Z must both fit inside the recorded halfwidth
+    zl = request.getfixturevalue(which)
+    g = zl.gammas
+    h = np.array([r.bracket_halfwidth for r in zl.records])
+    assert len(zl) == 10166
+    assert np.all(h <= 1e-9)
+    assert np.all(z_values(g - h) * z_values(g + h) < 0.0)
+
+
+def test_find_zeros_equals_its_cache_round_trip(tmp_path):
+    zl = find_zeros(1500.0)
+    p = tmp_path / "zc.txt"
+    save_cache(zl, p)
+    # record for record, and t_max
+    assert load_cache(p) == zl
+
+
+def test_big_list_equals_its_reload(big_zeros_found, big_zeros):
+    assert big_zeros == big_zeros_found
+
+
+def test_near_pair_at_7005(big_zeros):
+    g = big_zeros.gammas
+    assert np.count_nonzero((g > 7005.0) & (g < 7005.2)) == 2
+
+
+def test_refinement_evaluates_few_points(monkeypatch):
+    from xidist import zeros
+
+    brackets = zeros._scan(10.0, 2000.0, 0.05)
+    points = []
+
+    def counting_z(ts):
+        points.append(np.size(ts))
+        return z_values(ts)
+
+    monkeypatch.setattr(zeros, "z_values", counting_z)
+    gamma, halfw = zeros._refine(brackets)
+    # the bisection this replaced spent 26 evaluations per zero
+    assert sum(points) <= 8 * brackets.shape[1]
+    assert np.all(halfw <= 1e-9)
+    assert np.all((gamma >= brackets[0]) & (gamma <= brackets[1]))
+
+
+def test_inv_square_suffix_matches_sum(big_zeros):
+    g = big_zeros.gammas
+    suffix = big_zeros.inv_square_suffix
+    assert suffix.shape == (len(g) + 1,) and suffix[-1] == 0.0
+    for k in (0, 1, 20, 999, 1000, 5003, 10000, len(g) - 1):
+        want = np.sum(1.0 / (g[k:] * g[k:]))
+        assert abs(suffix[k] - want) <= 1e-15 * want
+
+
 def test_ordering_and_simplicity(small_zeros):
     g = small_zeros.gammas
     assert np.all(np.diff(g) > 1e-3)
@@ -59,6 +115,12 @@ def test_completeness_checkpoints(small_zeros):
 def test_tmax_too_small():
     with pytest.raises(DomainError):
         find_zeros(10.0)
+
+
+@pytest.mark.parametrize("t_max", [1.0001e5, 1e12, float("inf"), float("nan")])
+def test_tmax_above_ceiling(t_max):
+    with pytest.raises(DomainError):
+        find_zeros(t_max)
 
 
 @pytest.mark.parametrize("k", [0, -5])
