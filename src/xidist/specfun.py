@@ -13,7 +13,11 @@ held to a stated accuracy and cross-checkable against an independent path:
 * ``z_values`` is the one Z(t) evaluator, over arrays (``riemann_siegel_Z`` is
   its 0-d call): exact-phase (e^{i theta(t)} zeta(1/2+it)) below t = 1000 and
   the Riemann-Siegel main sum plus its first correction term above, which is
-  ample for locating sign changes.
+  ample for locating sign changes.  ``z_grid`` gives the same values on a
+  uniform grid t = t_b + j h by the grid factorization
+      n^{-1/2-it} = n^{-1/2} e^{-i t_b log n} e^{-i j h log n}:
+  the Dirichlet head over blocks of 64 points is one complex matrix product
+  (block rows times a table shared by all blocks), the rest is z_values' code.
 
 Method selection for zeta:
   Re s > 0 : the Stieltjes-constant series of (s-1) zeta(s) within 0.1 of
@@ -55,6 +59,7 @@ __all__ = [
     "riemann_siegel_theta",
     "riemann_siegel_Z",
     "z_values",
+    "z_grid",
 ]
 
 _LN_PI = math.log(math.pi)
@@ -149,13 +154,18 @@ _EM_TWO_K = 2.0 * np.arange(1, _EM_KMAX)
 
 
 def _zeta_em(s, n_cut: int, stop: float):
-    """Euler-Maclaurin zeta(s) for an array of s that share the head length n_cut.
+    """Euler-Maclaurin zeta(s) for an array of s that share the head length n_cut."""
+    s = np.asarray(s, dtype=complex)
+    head = np.exp(-s[..., None] * np.log(np.arange(1.0, n_cut))).sum(axis=-1)
+    return _em_finish(s, head, n_cut, stop)
+
+
+def _em_finish(s: np.ndarray, head: np.ndarray, n_cut: int, stop: float):
+    """zeta(s) from its head sum_{n < n_cut} n^{-s}: the boundary terms and the tail.
 
     All tail terms are formed at once; the sum stops at the first term whose
     magnitude is at most ``stop`` for every s, and raises if none is.
     """
-    s = np.asarray(s, dtype=complex)
-    head = np.exp(-s[..., None] * np.log(np.arange(1.0, n_cut))).sum(axis=-1)
     ncs = np.exp(-s * math.log(n_cut))
     val = head + 0.5 * ncs + ncs * n_cut / (s - 1.0)
     # tail terms T_k = B_{2k+2}/(2k+2)! s(s+1)...(s+2k) n^{-s-2k-1}, built by their ratios
@@ -349,11 +359,18 @@ def _rs_psi(p: np.ndarray) -> np.ndarray:
     return out
 
 
-def _z_riemann_siegel(ts: np.ndarray) -> np.ndarray:
+def _rs_terms(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Riemann-Siegel main-sum length floor(sqrt(t/2 pi)) and first correction term."""
     tau = ts / _TWO_PI
     a = np.sqrt(tau)
     cut = a.astype(np.int64)
     p = a - cut
+    sign = np.where(cut % 2 == 1, 1.0, -1.0)
+    return cut, sign * tau**-0.25 * _rs_psi(p)
+
+
+def _z_riemann_siegel(ts: np.ndarray) -> np.ndarray:
+    cut, correction = _rs_terms(ts)
     theta = _theta_asymptotic(ts)
     z = np.zeros_like(ts)
     for n_terms in np.unique(cut):
@@ -361,12 +378,20 @@ def _z_riemann_siegel(ts: np.ndarray) -> np.ndarray:
         n = np.arange(1, n_terms + 1, dtype=float)
         phases = theta[m, None] - ts[m, None] * np.log(n)[None, :]
         z[m] = 2.0 * (np.cos(phases) / np.sqrt(n)[None, :]).sum(axis=1)
-    sign = np.where(cut % 2 == 1, 1.0, -1.0)
-    return z + sign * tau**-0.25 * _rs_psi(p)
+    return z + correction
 
 
-# z_values groups the exact-phase ordinates by these edges; each group shares
-# the Euler-Maclaurin head length of its upper edge
+def _exact_phase_z(ts: np.ndarray, zeta_half: np.ndarray) -> np.ndarray:
+    """Z(t) = e^{i theta(t)} zeta(1/2 + it), from zeta(1/2 + it)."""
+    rotated = np.exp(1j * riemann_siegel_theta(ts)) * zeta_half
+    # the rotated value is real analytically; a large residue flags a bug
+    if np.any(np.abs(rotated.imag) > 1e-6 * (1.0 + np.abs(rotated))):
+        raise AccuracyError("phase-rotated zeta not real", achieved=float(np.max(np.abs(rotated.imag))))
+    return rotated.real
+
+
+# z_values and z_grid group the exact-phase ordinates by these edges; each
+# group shares the Euler-Maclaurin head length of its upper edge
 _EM_CHUNK_EDGES = np.array(
     [0.0, 50, 100, 150, 200, 300, 400, 500, 600, 700, 800, 900, _Z_SWITCH]
 )
@@ -393,14 +418,82 @@ def z_values(ts) -> np.ndarray:
         for b in np.unique(bins):
             sel = bins == b
             zeta_half[sel] = _zeta_em(0.5 + 1j * tl[sel], _em_head_length(_EM_CHUNK_EDGES[b + 1]), 1e-15)
-        rotated = np.exp(1j * riemann_siegel_theta(tl)) * zeta_half
-        # the rotated value is real analytically; a large residue flags a bug
-        if np.any(np.abs(rotated.imag) > 1e-6 * (1.0 + np.abs(rotated))):
-            raise AccuracyError("phase-rotated zeta not real", achieved=float(np.max(np.abs(rotated.imag))))
-        out[low] = rotated.real
+        out[low] = _exact_phase_z(tl, zeta_half)
     if np.any(~low):
         out[~low] = _z_riemann_siegel(flat[~low])
     return out.reshape(ts.shape)
+
+
+# grid points per row of the blocked head sum of ``z_grid``, and per piece of
+# its grid (~40 MB of temporaries)
+_Z_BLOCK = 64
+_Z_PIECE = 4096 * _Z_BLOCK
+
+
+def _runs(key: np.ndarray):
+    """(value, slice) for each run of equal values of a sorted key."""
+    values, starts = np.unique(key, return_index=True)
+    ends = np.append(starts[1:], key.size)
+    return [(v, slice(a, b)) for v, a, b in zip(values, starts, ends)]
+
+
+def _grid_head(ts: np.ndarray, step: float, n_terms: int) -> np.ndarray:
+    """sum_{n <= n_terms} n^{-1/2 - it} over uniform ordinates ts, step apart.
+
+    For t = t_b + j*step, t_b the first ordinate of a block of ``_Z_BLOCK``,
+    n^{-1/2-it} = n^{-1/2} e^{-i t_b log n} e^{-i j step log n}: the sums over
+    all blocks are one product of a (blocks x n) matrix of block phases with
+    an (n x _Z_BLOCK) table of in-block phases shared by every block.
+    """
+    log_n = np.log(np.arange(1.0, n_terms + 1.0))
+    width = min(ts.size, _Z_BLOCK)
+    bases = ts[::width]
+    offsets = step * np.arange(width)
+    rows = np.exp(-0.5 * log_n - 1j * np.outer(bases, log_n))
+    table = np.exp(-1j * np.outer(log_n, offsets))
+    head, slope = (np.concatenate([rows, rows * log_n]) @ table).reshape(2, -1)[:, : ts.size]
+    # t differs from t_b + j*step by its own rounding, ~ulp(t), which moves Z
+    # by up to ~1e-12 near t = 1000; the slope sum takes the head to t itself
+    shift = ts - np.repeat(bases, width)[: ts.size] - np.tile(offsets, bases.size)[: ts.size]
+    return head - 1j * shift * slope
+
+
+def z_grid(lo: float, step: float, count: int) -> np.ndarray:
+    """``z_values`` at the uniform grid t = lo + k*step, k < count (lo >= 0, step > 0).
+
+    The same formulas by the grid factorization of ``_grid_head``: the
+    Dirichlet head of each run of constant length (an ``_EM_CHUNK_EDGES``
+    chunk below t = 1000, a run of constant floor(sqrt(t/2 pi)) above) is one
+    matrix product, in place of one complex exponential or cosine per
+    (ordinate, term).  The Euler-Maclaurin tail, the theta rotation and the
+    Riemann-Siegel correction are those of ``z_values``.  The grid is taken
+    ``_Z_PIECE`` ordinates at a time, which bounds the temporaries.
+    """
+    if not (lo >= 0.0 and step > 0.0):
+        raise DomainError("z_grid needs lo >= 0 and step > 0")
+    out = np.empty(count)
+    for k0 in range(0, count, _Z_PIECE):
+        ts = lo + step * np.arange(k0, min(count, k0 + _Z_PIECE))
+        out[k0 : k0 + ts.size] = _z_grid_piece(ts, step)
+    return out
+
+
+def _z_grid_piece(ts: np.ndarray, step: float) -> np.ndarray:
+    out = np.empty(ts.size)
+    n_low = int(np.searchsorted(ts, _Z_SWITCH, side="right"))
+    tl = ts[:n_low]
+    zeta_half = np.empty(n_low, dtype=complex)
+    for b, seg in _runs(np.digitize(tl, _EM_CHUNK_EDGES[1:-1])):
+        n_cut = _em_head_length(_EM_CHUNK_EDGES[b + 1])
+        zeta_half[seg] = _em_finish(0.5 + 1j * tl[seg], _grid_head(tl[seg], step, n_cut - 1), n_cut, 1e-15)
+    out[:n_low] = _exact_phase_z(tl, zeta_half)
+    th = ts[n_low:]
+    cut, correction = _rs_terms(th)
+    head = np.empty(th.size, dtype=complex)
+    for n_terms, seg in _runs(cut):
+        head[seg] = _grid_head(th[seg], step, int(n_terms))
+    out[n_low:] = 2.0 * (np.exp(1j * _theta_asymptotic(th)) * head).real + correction
+    return out
 
 
 def riemann_siegel_Z(t: float) -> float:

@@ -1,14 +1,16 @@
 r"""Locate, certify, cache, and serve the positive ordinates of the
 nontrivial zeta zeros on the critical line.
 
-Strategy: uniform sign-change scan of Z(t) (step 0.05), then a
-completeness certificate against the counting estimate
-N(T) ~ theta(T)/pi + 1.  Windows where the running count drifts from the
-estimate are rescanned at 16x (then 256x) finer resolution; this is what
-recovers pathologically close pairs (the tightest gap below t = 1e4 is
-~0.0377, near t ~ 7005).  A list that still fails the certificate raises
-MissedZeroError rather than being returned.  Each bracket, with the Z values
-the scan computed at its ends, is refined by Illinois regula falsi; gamma is
+Strategy: uniform sign-change scan of Z(t) (step 0.05) by ``z_grid``, whose
+blocked-phase factorization makes the Dirichlet head of each run of grid
+points one complex matrix product, then a completeness certificate against
+the counting estimate N(T) ~ theta(T)/pi + 1.  Windows where the running
+count drifts from the estimate are rescanned, again by ``z_grid``, at 16x
+(then 256x) finer resolution; this is what recovers pathologically close
+pairs (the tightest gap below t = 1e4 is ~0.0377, near t ~ 7005).  A list
+that still fails the certificate raises MissedZeroError rather than being
+returned.  Each bracket, with the Z values the scan computed at its ends, is
+refined by Illinois regula falsi (``z_values`` at scattered points); gamma is
 the secant root of the final bracket, and the recorded halfwidth h <= 1e-9
 covers that bracket, a noise floor and the cache's 15-digit rounding, so Z
 changes sign across [gamma - h, gamma + h] in memory and after a reload.
@@ -30,7 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from .accuracy import CacheChecksumError, CacheParseError, DomainError, MissedZeroError
-from .specfun import riemann_siegel_theta, z_values
+from .specfun import riemann_siegel_theta, z_grid, z_values
 
 __all__ = [
     "ZeroRecord",
@@ -116,11 +118,11 @@ class ZeroList:
         return int(np.searchsorted(self.gammas, t, side="right"))
 
 
-def counting_estimate(t: float) -> float:
-    """Smooth zero-counting estimate theta(t)/pi + 1 (the S(T) term omitted)."""
-    if t < 2.0:
-        return 0.0
-    return riemann_siegel_theta(t) / math.pi + 1.0
+def counting_estimate(t):
+    """Smooth zero-counting estimate theta(t)/pi + 1 (the S(T) term omitted), elementwise."""
+    t = np.asarray(t, dtype=float)
+    out = np.where(t < 2.0, 0.0, riemann_siegel_theta(t) / math.pi + 1.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def gamma_ceiling(n_zeros: int) -> float:
@@ -141,9 +143,15 @@ def gamma_ceiling(n_zeros: int) -> float:
 
 
 def _scan(lo: float, hi: float, step: float) -> np.ndarray:
-    """Sign-change brackets of Z on a uniform grid, as rows (lo, hi, Z(lo), Z(hi))."""
-    grid = np.arange(lo, hi + step, step)
-    z = z_values(grid)
+    """Sign-change brackets of Z on a uniform grid, as rows (lo, hi, Z(lo), Z(hi)).
+
+    The grid is that of np.arange(lo, hi + step, step), which steps by
+    (lo + step) - lo, the step as rounded at lo.
+    """
+    count = math.ceil((hi + step - lo) / step)
+    step = (lo + step) - lo
+    grid = lo + step * np.arange(count)
+    z = z_grid(lo, step, count)
     # a grid point landing exactly on a zero joins the interval to its right
     pos = z >= 0.0
     idx = np.flatnonzero(pos[:-1] != pos[1:])
@@ -270,34 +278,24 @@ def _suspect_windows(bracket_lo: np.ndarray, t_max: float):
     """Checkpoint sweep: windows whose running count drifts from the estimate.
 
     The fluctuation term S(T) stays well below 1.4 at desk scale, so a
-    persistent deviation >= 1.4 (or a per-window jump >= 1.7) means a missed
-    pair rather than noise.
+    deviation >= 1.4 at a checkpoint (or a per-window jump >= 1.7) means a
+    missed pair rather than noise.  Each flagged checkpoint marks the window
+    since the previous one, widened by 1 on both sides; overlaps are merged.
     """
     checks = np.arange(_CHECKPOINT_SPACING, t_max + _CHECKPOINT_SPACING, _CHECKPOINT_SPACING)
     checks[-1] = min(checks[-1], t_max)
-    windows = []
-    prev_t = _SCAN_START
-    prev_nhat = counting_estimate(prev_t)
-    prev_count = 0
-    flagged_from = None
-    for t_chk in checks:
-        count = int(np.searchsorted(bracket_lo, t_chk, side="right"))
-        nhat = counting_estimate(t_chk)
-        window_jump = abs((count - prev_count) - (nhat - prev_nhat))
-        drift = abs(count - nhat)
-        if window_jump >= 1.7 or (drift >= 1.4 and flagged_from is None):
-            flagged_from = prev_t if flagged_from is None else flagged_from
-        if flagged_from is not None and (window_jump >= 1.7 or drift >= 1.4):
-            windows.append((max(_SCAN_START, flagged_from - 1.0), min(t_max, t_chk + 1.0)))
-            flagged_from = None
-        prev_t, prev_nhat, prev_count = t_chk, nhat, count
-    # merge overlaps
+    counts = np.searchsorted(bracket_lo, checks, side="right")
+    nhat = counting_estimate(checks)
+    window_jump = np.abs(np.diff(counts, prepend=0) - np.diff(nhat, prepend=counting_estimate(_SCAN_START)))
+    drift = np.abs(counts - nhat)
+    bad = np.flatnonzero((window_jump >= 1.7) | (drift >= 1.4))
+    prev_t = np.concatenate([[_SCAN_START], checks[:-1]])
     merged = []
-    for w in sorted(windows):
-        if merged and w[0] <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], w[1]))
+    for w_lo, w_hi in zip(np.maximum(_SCAN_START, prev_t[bad] - 1.0), np.minimum(t_max, checks[bad] + 1.0)):
+        if merged and w_lo <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], float(w_hi)))
         else:
-            merged.append(w)
+            merged.append((float(w_lo), float(w_hi)))
     return merged
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from xidist.accuracy import DomainError, PoleError
 from xidist.specfun import (
+    _EM_CHUNK_EDGES,
     log_gamma,
     riemann_siegel_Z,
     riemann_siegel_theta,
@@ -15,6 +16,7 @@ from xidist.specfun import (
     theta_sum,
     xi,
     xi_theta,
+    z_grid,
     z_values,
     zeta,
 )
@@ -315,6 +317,45 @@ def test_z_branch_crossover_consistency():
         rs = float(z_values(np.array([t]))[0])
         ref = float(mp.siegelz(t))
         assert abs(rs - ref) <= 4e-3
+
+
+# grids across every exact-phase chunk edge, the switch at t = 1000 and the
+# Riemann-Siegel term-count changes t = 2 pi N^2 at N = 13 and 39
+Z_GRID_EDGES = [*_EM_CHUNK_EDGES[1:], 2.0 * math.pi * 13**2, 2.0 * math.pi * 39**2]
+
+
+@pytest.mark.parametrize("step", [0.05, 0.05 / 256])
+@pytest.mark.parametrize("count", [1, 63, 64, 65])
+def test_z_grid_equals_z_values(step, count):
+    # the two round the phases t log n differently, each to ~ulp(t log n)
+    for edge in Z_GRID_EDGES:
+        lo = edge - step * (count // 2)
+        ts = lo + step * np.arange(count)
+        tol = 4e-12 if edge <= 1000.0 else 1e-10
+        assert np.max(np.abs(z_grid(lo, step, count) - z_values(ts))) <= tol
+
+
+def test_z_grid_in_pieces(monkeypatch):
+    from xidist import specfun
+
+    # pieces of 100 ordinates across the branch switch
+    monkeypatch.setattr(specfun, "_Z_PIECE", 100)
+    ts = 990.0 + 0.05 * np.arange(450)
+    diff = np.abs(z_grid(990.0, 0.05, 450) - z_values(ts))
+    assert diff[ts <= 1000.0].max() <= 4e-12 and diff.max() <= 1e-10
+
+
+def test_z_grid_against_siegelz_exact_phase_branch():
+    z = z_grid(0.0, 0.05, 20001)
+    for k in np.random.default_rng(23).choice(z.size, 24, replace=False):
+        assert abs(z[k] - float(mp.siegelz(0.05 * k))) <= 1e-12
+
+
+def test_z_grid_domain():
+    with pytest.raises(DomainError):
+        z_grid(-0.05, 0.05, 10)
+    with pytest.raises(DomainError):
+        z_grid(10.0, 0.0, 10)
 
 
 def test_theta_asymptotic_matches_loggamma():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xidist import zeros
 from xidist.accuracy import CacheChecksumError, CacheParseError, DomainError
 from xidist.specfun import z_values
 from xidist.zeros import (
@@ -91,6 +92,85 @@ def test_refinement_evaluates_few_points(monkeypatch):
     assert sum(points) <= 8 * brackets.shape[1]
     assert np.all(halfw <= 1e-9)
     assert np.all((gamma >= brackets[0]) & (gamma <= brackets[1]))
+
+
+def _reference_scan(lo, hi, step):
+    """The sign-change scan with z_values at every point of np.arange's grid."""
+    grid = np.arange(lo, hi + step, step)
+    z = z_values(grid)
+    pos = z >= 0.0
+    idx = np.flatnonzero(pos[:-1] != pos[1:])
+    return np.stack([grid[idx], grid[idx + 1], z[idx], z[idx + 1]])
+
+
+def _suspect_windows_loop(bracket_lo, t_max):
+    """The checkpoint sweep with one scalar counting_estimate per checkpoint."""
+    spacing = 25.0
+    checks = np.arange(spacing, t_max + spacing, spacing)
+    checks[-1] = min(checks[-1], t_max)
+    windows = []
+    prev_t, prev_nhat, prev_count = 10.0, counting_estimate(10.0), 0
+    flagged_from = None
+    for t_chk in checks:
+        count = int(np.searchsorted(bracket_lo, t_chk, side="right"))
+        nhat = counting_estimate(float(t_chk))
+        window_jump = abs((count - prev_count) - (nhat - prev_nhat))
+        drift = abs(count - nhat)
+        if window_jump >= 1.7 or (drift >= 1.4 and flagged_from is None):
+            flagged_from = prev_t if flagged_from is None else flagged_from
+        if flagged_from is not None and (window_jump >= 1.7 or drift >= 1.4):
+            windows.append((max(10.0, flagged_from - 1.0), min(t_max, t_chk + 1.0)))
+            flagged_from = None
+        prev_t, prev_nhat, prev_count = t_chk, nhat, count
+    merged = []
+    for w in sorted(windows):
+        if merged and w[0] <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], w[1]))
+        else:
+            merged.append(w)
+    return merged
+
+
+@pytest.fixture(scope="module")
+def coarse_scan():
+    return zeros._scan(10.0, 10020.05, 0.05)
+
+
+def test_scan_equals_z_values_reference(coarse_scan):
+    ref = _reference_scan(10.0, 10020.05, 0.05)
+    assert np.array_equal(coarse_scan[:2], ref[:2])
+    assert np.max(np.abs(coarse_scan[2:] - ref[2:])) <= 1e-10
+
+
+def test_suspect_windows_match_the_checkpoint_loop(coarse_scan):
+    lo = coarse_scan[0]
+    assert zeros._suspect_windows(lo, 10020.0) == [(3599.0, 3626.0)]
+    rng = np.random.default_rng(41)
+    for t_max in (10020.0, 5012.5, 777.7):
+        for _ in range(4):
+            # dropping a pair of brackets imitates a missed close pair
+            drop = rng.choice(np.count_nonzero(lo < t_max) - 1, 3, replace=False)
+            thinned = np.delete(lo, np.concatenate([drop, drop + 1]))
+            assert zeros._suspect_windows(thinned, t_max) == _suspect_windows_loop(thinned, t_max)
+
+
+def test_find_zeros_10k_rescans_one_window(monkeypatch):
+    flagged = []
+    sweep = zeros._suspect_windows
+
+    def recording(bracket_lo, t_max):
+        flagged.append(sweep(bracket_lo, t_max))
+        return flagged[-1]
+
+    monkeypatch.setattr(zeros, "_suspect_windows", recording)
+    assert len(find_zeros(10020.0)) == 10166
+    assert flagged == [[(3599.0, 3626.0)]] * 2
+
+
+def test_counting_estimate_is_elementwise():
+    ts = np.array([0.0, 1.5, 2.0, 14.0, 100.0, 3600.0, 10020.0])
+    assert np.array_equal(counting_estimate(ts), [counting_estimate(t) for t in ts])
+    assert counting_estimate(1.0) == 0.0 and isinstance(counting_estimate(100.0), float)
 
 
 def test_inv_square_suffix_matches_sum(big_zeros):
