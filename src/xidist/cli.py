@@ -2,12 +2,13 @@
 management, and verification sweeps.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numerical
-or data failure (a tolerance that cannot be met, an incomplete zero list, a
-malformed cache, an I/O error); errors are one ``error:`` line on standard
-error.  All numeric output uses 15 significant digits, so identical
-invocations over identical caches are byte-identical.  The zero cache
-location defaults to $XIDIST_ZERO_CACHE (falling back to ./xidist_zeros.txt)
-and is built on demand, with a progress line on standard error.
+or data failure (a tolerance that cannot be met, a CF value that underflows
+to 0 or is not finite, an incomplete zero list, a malformed cache, an I/O
+error); errors are one ``error:`` line on standard error.  All numeric
+output uses 15 significant digits, so identical invocations over identical
+caches are byte-identical.  The zero cache location defaults to
+$XIDIST_ZERO_CACHE (falling back to ./xidist_zeros.txt) and is built on
+demand, with a progress line on standard error.
 """
 
 from __future__ import annotations
@@ -58,6 +59,10 @@ def _cmd_eval(args) -> int:
         v = cf_from_triplet(xi_triplet(args.sigma, PrimeCutoff(args.p_max, args.r_max)), args.t)
     else:  # xi_star
         v = cf_xi_star(args.sigma, args.t)
+    # Xi_sigma(t) vanishes only at zeta zeros, which no double hits: an exact 0 is an underflow
+    if args.t != 0.0 and not (v != 0.0 and np.isfinite(v)):
+        what = "underflows to 0" if v == 0.0 else "is not finite"
+        raise AccuracyError(f"the CF at sigma={args.sigma:g}, t={args.t:g} {what} in float64")
     print(_fmt(v.real), _fmt(v.imag))
     return 0
 

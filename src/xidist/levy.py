@@ -287,7 +287,12 @@ def _atom_arrays(sigma: float, p_max: int, r_max: int):
             break
         locs.append(r * np.log(sub))
         masses.append(sub ** (-r * sigma) / r)
-    return np.concatenate(locs), np.concatenate(masses)
+    out = np.concatenate(locs), np.concatenate(masses)
+    # shared by every caller at this (sigma, cutoff), and the identity key of
+    # ``_atom_sum``: read-only, so the same object always holds the same atoms
+    for arr in out:
+        arr.flags.writeable = False
+    return out
 
 
 def prime_atoms(sigma: float, cut: PrimeCutoff) -> tuple[np.ndarray, np.ndarray]:
@@ -536,6 +541,28 @@ def cf_xi_star(sigma: float, t: float) -> complex:
 
 # -------------------------------------------------------- triplet evaluation
 
+# (locs, masses, t, sum) of the last ``_atom_sum``.  xi_triplet and
+# xi_star_triplet at one sigma carry the same ``_atom_arrays`` objects, so the
+# second of the pair reuses the first's sum over the same t.  Holding the
+# arrays keeps their ids from being reused; one tuple is read and replaced
+# whole, so a concurrent caller sees either the old entry or the new one.
+_last_atom_sum = (None, None, None, None)
+
+
+def _atom_sum(t: np.ndarray, locs: np.ndarray, masses: np.ndarray) -> np.ndarray:
+    """sum_j masses_j (e^{i t locs_j} - 1) for a flat t; the result is read-only."""
+    global _last_atom_sum
+    m_locs, m_masses, m_t, value = _last_atom_sum
+    if m_locs is locs and m_masses is masses and np.array_equal(m_t, t):
+        return value
+    value = kernel_sum(_eiu_m1, t, locs, masses)
+    value.flags.writeable = False
+    # only read-only arrays are keyed by identity: a writable one may change in place
+    if not (locs.flags.writeable or masses.flags.writeable):
+        _last_atom_sum = (locs, masses, t.copy(), value)
+    return value
+
+
 def log_cf_from_triplet(tr: QuasiLevyTriplet, t, acc: EvalAccuracy = DEFAULT_ACCURACY):
     """The Levy-Khintchine exponent of the triplet at t (value 0 at t = 0).
 
@@ -569,7 +596,7 @@ def log_cf_from_triplet(tr: QuasiLevyTriplet, t, acc: EvalAccuracy = DEFAULT_ACC
             total += fourier_quad(dens, 0.0, x_hi, flat, tol, rate, kernel=_eiu_m1)
     if len(m.atom_locations):
         locs, masses = m.atom_locations, m.atom_masses
-        total += kernel_sum(_eiu_m1, flat, locs, masses)
+        total += _atom_sum(flat, locs, masses)
         inside = locs <= b
         if np.any(inside):
             total -= 1j * flat * float(np.dot(masses[inside], locs[inside]))

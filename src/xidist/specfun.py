@@ -400,7 +400,10 @@ _EM_CHUNK_EDGES = np.array(
 def z_values(ts) -> np.ndarray:
     """Z(t) with |Z(t)| = |zeta(1/2 + it)| over an array of ordinates t >= 0.
 
-    Exact-phase e^{i theta(t)} zeta(1/2+it) up to t = 1000 (error ~1e-12);
+    Exact-phase e^{i theta(t)} zeta(1/2+it) up to t = 1000: against mpmath's
+    siegelz its error has rms 3.4e-13 (200 seeded points in [500, 1000]) and
+    reached 1.17e-12 at worst among the points tried, a typical error and not
+    a bound (each phase t log n carries its own rounding, ~ulp(t log n));
     Riemann-Siegel main sum + first correction term above (absolute error
     <= ~3e-3, decreasing like t^{-3/4}, which keeps every bracketing decision
     safe at desk scale).  Sign changes bracket zeros.

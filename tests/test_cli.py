@@ -38,6 +38,15 @@ def test_eval_alternate_backends(backend, tol, capsys):
     assert abs(got - direct) < tol
 
 
+@pytest.mark.parametrize("backend", ["direct", "xi_star"])
+def test_eval_underflow_is_an_accuracy_failure(backend, capsys):
+    # |Xi_2(5000)| ~ 1e-1700 underflows to 0.0, which is not the CF's value
+    code, out, err = run_cli(["eval", "--sigma", "2", "--t", "5000", "--backend", backend], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_eval_zeros_backend(tmp_path, capsys):
     cache = str(tmp_path / "zc.txt")
     code, out, err = run_cli(

@@ -11,9 +11,11 @@ from xidist.harness import (
     run_inequality_scan,
     run_zero_convergence,
 )
-from xidist.levy import PrimeCutoff
+from xidist.distribution import XiDistribution
+from xidist.levy import PrimeCutoff, cf_from_triplet, cf_from_zeros, xi_star_triplet, xi_triplet
 
 GAMMA1 = 14.134725141734694
+CLI_GRID = np.arange(-10.0, 10.25, 0.5)  # `xidist verify --suite cross`
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +61,57 @@ def test_cross_check_zero_grid_is_exact(config):
     rep = run_cross_check(2.0, np.array([0.0]), config)
     for (_, _), (mx, _) in rep.residual_matrix.items():
         assert mx <= 1e-12
+
+
+def _full_grid_values(sigma, t_grid, config):
+    """Every backend on every grid point, with no use of the CF's symmetry."""
+    dist = XiDistribution(sigma, acc=config.acc)
+    out = {
+        "direct": np.array([dist.cf_direct(t) for t in t_grid]),
+        "density_ft": dist.cf_from_density(t_grid),
+        "zeros": cf_from_zeros(sigma, t_grid, config.zero_list, config.k_zeros).value,
+    }
+    if sigma > 1.0:
+        out["primes_triplet"] = cf_from_triplet(xi_triplet(sigma, config.cut), t_grid, config.acc)
+        unsmooth = (sigma - 1.0 - 1j * t_grid) / (sigma - 1.0)
+        out["xi_star_composed"] = cf_from_triplet(xi_star_triplet(sigma, config.cut), t_grid, config.acc) * unsmooth
+    return out
+
+
+@pytest.mark.parametrize("sigma", [0.55, 0.75, 1.25, 2.0, 3.0])
+def test_cross_check_mirror_is_exact_on_the_cli_grid(config, sigma):
+    # every backend is Hermitian to the bit here, so evaluating |t| once and
+    # conjugating for t < 0 gives exactly the full-grid values
+    full = _full_grid_values(sigma, CLI_GRID, config)
+    rep = run_cross_check(sigma, CLI_GRID, config)
+    assert set(rep.values) == set(full)
+    for name, v in full.items():
+        assert np.array_equal(v[::-1], np.conj(v)), name
+        assert np.array_equal(rep.values[name], v), name
+
+
+@pytest.mark.parametrize("grid", [[-3.0, -0.0, 0.0, 2.5, 3.0], [0.5, 1.7, 4.0, 9.75]])
+@pytest.mark.parametrize("sigma", [0.55, 1.25, 1.3, 2.0])
+def test_cross_check_mirror_on_other_grids(config, sigma, grid):
+    # other grids group the rows of the quadrature's matrix products
+    # differently, which moves the last bits
+    grid = np.array(grid)
+    full = _full_grid_values(sigma, grid, config)
+    rep = run_cross_check(sigma, grid, config)
+    for name, v in full.items():
+        np.testing.assert_allclose(rep.values[name], v, rtol=0.0, atol=1e-14, err_msg=name)
+
+
+@pytest.mark.parametrize(
+    "grid", [[], np.zeros((2, 3)), [1.0, np.nan], [-np.inf, 1.0], 2.0], ids=["empty", "2d", "nan", "inf", "scalar"]
+)
+def test_cross_check_rejects_bad_grids(config, grid, monkeypatch):
+    def no_backend(*args, **kwargs):
+        raise AssertionError("a backend ran")
+
+    monkeypatch.setattr("xidist.harness.XiDistribution", no_backend)
+    with pytest.raises(DomainError):
+        run_cross_check(2.0, grid, config)
 
 
 def test_report_reproducible(config):

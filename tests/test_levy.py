@@ -1,5 +1,7 @@
 import cmath
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from xidist import levy
 from xidist.accuracy import (
     DomainError,
     InsufficientZerosError,
@@ -432,6 +435,94 @@ def test_zero_product_pair_form_matches_factor_logs(small_zeros, sigma):
         got = cf_from_zeros(sigma, t, small_zeros, 20).value
         # the exponent difference, modulo 2 pi i
         assert abs(cmath.log(got * cmath.exp(-want))) <= 1e-12
+
+
+# ------------------------------------------------- the one-slot atom-sum memo
+
+@pytest.fixture
+def atom_sums(monkeypatch):
+    """Counts the kernel sums formed over prime atoms, from an empty memo."""
+    monkeypatch.setattr(levy, "_last_atom_sum", (None, None, None, None))
+    calls = []
+    real = levy.kernel_sum
+
+    def counting(kernel, omega, x, weights):
+        if not x.flags.writeable:  # the read-only _atom_arrays
+            calls.append(x)
+        return real(kernel, omega, x, weights)
+
+    monkeypatch.setattr(levy, "kernel_sum", counting)
+    return calls
+
+
+def test_second_triplet_at_one_sigma_reuses_the_atom_sum(atom_sums):
+    ts = np.arange(0.0, 10.25, 0.5)
+    prime = cf_from_triplet(xi_triplet(2.0, CUT), ts)
+    star = cf_from_triplet(xi_star_triplet(2.0, CUT), ts)
+    again = cf_from_triplet(xi_triplet(2.0, CUT), ts.copy())
+    assert len(atom_sums) == 1
+    levy._last_atom_sum = (None, None, None, None)
+    assert np.array_equal(star, cf_from_triplet(xi_star_triplet(2.0, CUT), ts))
+    assert np.array_equal(prime, again)
+    assert len(atom_sums) == 2
+
+
+def test_atom_sum_recomputed_for_new_grid_sigma_or_cutoff(atom_sums):
+    ts = np.array([0.5, 1.0, 3.0])
+    cf_from_triplet(xi_triplet(2.0, CUT), ts)
+    cf_from_triplet(xi_triplet(2.0, CUT), ts + 0.25)
+    cf_from_triplet(xi_triplet(2.5, CUT), ts + 0.25)
+    cf_from_triplet(xi_triplet(2.5, PrimeCutoff(1000, 40)), ts + 0.25)
+    assert len(atom_sums) == 4
+
+
+def test_atom_arrays_are_read_only():
+    locs, masses = prime_atoms(2.0, CUT)
+    with pytest.raises(ValueError):
+        locs[0] = 1.0
+    with pytest.raises(ValueError):
+        masses[0] = 1.0
+
+
+def test_writable_atoms_are_not_memoized():
+    # a caller's own arrays may change in place between calls
+    locs, masses = np.array([1.0, 2.0]), np.array([0.5, 0.25])
+    tr = QuasiLevyTriplet(a=0.0, drift=0.0, measure=SignedMeasure(atom_locations=locs, atom_masses=masses))
+    before = cf_from_triplet(tr, 1.0)
+    masses[1] = 0.0
+    after = cf_from_triplet(tr, 1.0)
+    assert after == pytest.approx(cmath.exp(0.5 * (cmath.exp(1j) - 1.0)), abs=1e-15)
+    assert abs(after - before) > 0.1
+
+
+def test_atom_sum_memo_under_threads():
+    # threads alternate between sigmas and grids, so each mostly finds the
+    # other's entry in the memo; every result must still be its own
+    cases = [(sigma, make, np.arange(lo, 6.0, 0.75)) for sigma in (1.5, 2.5)
+             for make in (xi_triplet, xi_star_triplet) for lo in (0.0, 0.25)]
+    cut = PrimeCutoff(10_000, 40)
+    want = [cf_from_triplet(make(sigma, cut), ts) for sigma, make, ts in cases]
+    bad = []
+
+    def worker(offset):
+        for j in range(2 * len(cases)):
+            k = (offset + j) % len(cases)
+            sigma, make, ts = cases[k]
+            if not np.array_equal(cf_from_triplet(make(sigma, cut), ts), want[k]):
+                bad.append(cases[k][:2])
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert not bad
 
 
 # ----------------------------------------------- generic triplet evaluation
