@@ -50,7 +50,7 @@ class AccuracyError(ArithmeticError):
 
 
 class MissedZeroError(RuntimeError):
-    """Zero count disagrees with the counting estimate after refinement."""
+    """A Rosser block of the zero scan does not hold exactly its count of zeros after refinement."""
 
 
 class InsufficientZerosError(ValueError):

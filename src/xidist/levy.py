@@ -41,6 +41,7 @@ import numpy as np
 
 from .accuracy import (
     DEFAULT_ACCURACY,
+    AccuracyError,
     DomainError,
     EvalAccuracy,
     InsufficientZerosError,
@@ -233,7 +234,7 @@ class SignedMeasure:
 
 @dataclass(frozen=True, eq=False)
 class QuasiLevyTriplet:
-    """(a, drift, nu) with compensator indicator 1_{[-b, b]}; evaluates to a CF."""
+    """(a, drift, nu) with compensator indicator 1_{[-b, b]}; ``cf_from_triplet`` evaluates it."""
 
     a: float
     drift: float
@@ -243,9 +244,6 @@ class QuasiLevyTriplet:
     def __post_init__(self):
         if self.truncation_halfwidth < 0.0:
             raise ValueError("truncation halfwidth must be >= 0")
-
-    def cf(self, t: float, acc: EvalAccuracy = DEFAULT_ACCURACY) -> complex:
-        return cf_from_triplet(self, t, acc)
 
 
 @dataclass(frozen=True)
@@ -401,6 +399,9 @@ def zero_tail_estimate(sigma: float, t, zl: ZeroList, k: int):
     return scale * (inside + beyond)
 
 
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)  # np.exp overflows past it
+
+
 def cf_from_zeros(sigma: float, t, zl: ZeroList, k: int) -> ZeroProductResult:
     """K-zero truncation of the Hadamard-product characteristic function.
 
@@ -436,6 +437,8 @@ def cf_from_zeros(sigma: float, t, zl: ZeroList, k: int) -> ZeroProductResult:
         total.imag[blk] = np.arctan2(im, p).sum(axis=1)
     for rec in zl.off_line:
         total += off_line_factor_log(sigma, rec.beta, rec.gamma, flat)
+    if np.any(total.real > _LOG_FLOAT_MAX):
+        raise AccuracyError(f"the {k}-zero product at sigma={sigma:g} overflows float64")
     value = np.exp(total)
     value[flat == 0.0] = 1.0
     tail = zero_tail_estimate(sigma, flat, zl, k)

@@ -3,18 +3,14 @@ nontrivial zeta zeros on the critical line.
 
 Strategy: uniform sign-change scan of Z(t) (step 0.05) by ``z_grid``, whose
 blocked-phase factorization makes the Dirichlet head of each run of grid
-points one complex matrix product, then a completeness certificate against
-the counting estimate N(T) ~ theta(T)/pi + 1.  Windows where the running
-count drifts from the estimate are rescanned, again by ``z_grid``, at 16x
-(then 256x) finer resolution; this is what recovers pathologically close
-pairs (the tightest gap below t = 1e4 is ~0.0377, near t ~ 7005).  A list
-that still fails the certificate raises MissedZeroError rather than being
-returned.  Each bracket, with the Z values the scan computed at its ends, is
-refined by Illinois regula falsi (``z_values`` at scattered points); gamma is
-the secant root of the final bracket, and the recorded halfwidth h <= 1e-9
-covers that bracket, a noise floor and the cache's 15-digit rounding, so Z
-changes sign across [gamma - h, gamma + h] in memory and after a reload.
-t_max is capped at 1e5.
+points one complex matrix product, certified by Rosser blocks (``find_zeros``).
+A block the scan leaves short is rescanned at 16x (then 256x) finer
+resolution; this is what recovers pathologically close pairs (the tightest
+gap below t = 1e4 is ~0.0377, near t ~ 7005).  Each bracket, with the Z
+values the scan computed at its ends, is refined by Illinois regula falsi
+(``z_values`` at scattered points) to a record [gamma - h, gamma + h],
+h <= 1e-9, across which Z changes sign in memory and after a reload; t_max
+is capped at 1e5.
 
 Every located zero is recorded with real part 1/2.  The data model carries a
 separate sequence for hypothetical off-line zeros so that downstream code can
@@ -46,10 +42,7 @@ __all__ = [
 ]
 
 _SCAN_START = 10.0  # N(10) ~ 0.02: no zeros below
-# coarse scan step; the rescan steps (1/16, 1/256 of it) and the checkpoint
-# thresholds of ``_suspect_windows`` are tuned to this value
-_SCAN_STEP = 0.05
-_CHECKPOINT_SPACING = 25.0
+_SCAN_STEP = 0.05  # coarse scan step; a short Rosser block is rescanned at 1/16, then 1/256 of it
 _HALFWIDTH = 1e-9  # largest record halfwidth
 _STEP_MIN = 0.5 * _HALFWIDTH  # least distance of a refinement point from the bracket ends
 # bisect after this many passes in a row that did not halve a bracket; fewer cut
@@ -213,53 +206,81 @@ def _refine(brackets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def find_zeros(t_max: float) -> ZeroList:
     """All zeros with gamma <= t_max, each with a record halfwidth h <= 1e-9.
 
-    Brackets from the scan are refined by Illinois regula falsi; gamma is the
-    secant root of the final bracket, and [gamma - h, gamma + h] covers that
-    bracket plus a noise floor, so Z changes sign across it.  gamma and h are
-    recorded as the 15-significant-digit values the cache stores, so a list
-    equals its own save/load round trip.
+    The Gram point g_n solves theta(g_n) = n pi and is good when
+    (-1)^n Z(g_n) > 0.  The scan runs to the first good Gram point past t_max,
+    and every Rosser block [g_a, g_b) between consecutive good points must hold
+    exactly b - a zeros: a block short of its count is rescanned at 1/16, then
+    1/256 of the step, and one still off its count after refinement raises
+    MissedZeroError.  Premise: below t = 1e5 every block holds exactly its
+    count (Rosser's rule; Rosser, Yohe & Schoenfeld 1969; Brent 1979); Turing's
+    upper bound (Lehman 1970; Trudgian 2011) would make this unconditional.
 
-    Raises DomainError for t_max outside [15, 1e5] and MissedZeroError when
-    the final count disagrees with the counting estimate by more than 1 even
-    after two rounds of windowed rescans.
+    gamma and h are recorded as the 15-significant-digit values the cache
+    stores, so a list equals its own save/load round trip.  Raises DomainError
+    for t_max outside [15, 1e5].
     """
     _check_t_max(t_max)
     t_max = _round15(t_max)
-    brackets = _scan(_SCAN_START, t_max + _SCAN_STEP, _SCAN_STEP)
-
-    for round_step in (_SCAN_STEP / 16.0, _SCAN_STEP / 256.0):
-        bad = _suspect_windows(brackets[0], t_max)
-        if not bad:
+    # the good Gram points from g_{-1} ~ 9.67, below every zero, to the first
+    # past t_max; below 1e5 no Rosser block spans 64 Gram intervals
+    n = np.arange(-1, math.ceil(riemann_siegel_theta(t_max) / math.pi) + 64)
+    good = _gram_points(n)
+    z_good = z_values(good)
+    keep = np.where(n % 2 == 0, z_good, -z_good) > 0.0
+    keep[np.flatnonzero(keep & (good > t_max))[0] + 1 :] = False
+    n, good, z_good = n[keep], good[keep], z_good[keep]
+    want = np.diff(n)
+    brackets = _scan(_SCAN_START, good[-1], _SCAN_STEP)
+    for step in (_SCAN_STEP / 16.0, _SCAN_STEP / 256.0):
+        block = _block_of(brackets, good, z_good)
+        short = np.flatnonzero(np.bincount(block, minlength=good.size)[: want.size] < want)
+        if not short.size:
             break
-        for w_lo, w_hi in bad:
-            # finer brackets supersede the coarse ones inside the window
-            inside = (brackets[0] >= w_lo) & (brackets[0] <= w_hi)
-            brackets = np.concatenate([brackets[:, ~inside], _scan(w_lo, w_hi, round_step)], axis=1)
-        brackets = brackets[:, np.argsort(brackets[0])]
-
-    gammas, halfw = _refine(brackets)
+        # the finer brackets of a short block supersede its coarse ones
+        fine = [_scan(good[j], good[j + 1], step) for j in short]
+        fine = [f[:, _block_of(f, good, z_good) == j] for j, f in zip(short, fine)]
+        brackets = np.concatenate([brackets[:, ~np.isin(block, short)], *fine], axis=1)
+    gammas, halfw = _refine(brackets[:, _block_of(brackets, good, z_good) < want.size])
     order = np.argsort(gammas)
     gammas, halfw = gammas[order], halfw[order]
-    # window-edge brackets can re-find a zero; zeros are never this close
-    distinct = np.concatenate([[True], np.diff(gammas) > 1e-6])
-    gammas, halfw = gammas[distinct], halfw[distinct]
+    have = np.diff(np.searchsorted(gammas, good))
+    off = np.flatnonzero(have != want)
+    if off.size:
+        j = off[0]
+        raise MissedZeroError(
+            f"{have[j]} zeros in the Rosser block [g({n[j]}), g({n[j + 1]})) = "
+            f"[{good[j]:.6f}, {good[j + 1]:.6f}), which has {want[j]} Gram intervals"
+        )
     sel = gammas <= t_max
-    gammas, halfw = gammas[sel], halfw[sel]
-
-    for t_check in (100.0, 1000.0, t_max):
-        if t_check > t_max:
-            continue
-        have = int(np.searchsorted(gammas, t_check, side="right"))
-        want = counting_estimate(t_check)
-        if abs(have - want) > 1.0:
-            raise MissedZeroError(
-                f"count {have} below t={t_check:g} vs estimate {want:.2f} after the windowed rescans"
-            )
     records = tuple(
         ZeroRecord(index=i + 1, gamma=_round15(g), bracket_halfwidth=_round15(h))
-        for i, (g, h) in enumerate(zip(gammas, halfw))
+        for i, (g, h) in enumerate(zip(gammas[sel], halfw[sel]))
     )
     return ZeroList(records=records, t_max=t_max)
+
+
+def _gram_points(n) -> np.ndarray:
+    """Gram points g_n, theta(g_n) = n pi, for integers n >= -1: Newton's method
+    from an interpolation of theta, increasing from t ~ 6.29 on, on a log grid."""
+    target = math.pi * np.asarray(n, dtype=float)
+    top = 20.0
+    while riemann_siegel_theta(top) < target.max():
+        top *= 2.0
+    grid = np.geomspace(8.0, top, 512)
+    t = np.interp(target, riemann_siegel_theta(grid), grid)
+    for _ in range(4):
+        t = t - (riemann_siegel_theta(t) - target) / (0.5 * np.log(t / (2.0 * math.pi)))
+    return t
+
+
+def _block_of(brackets: np.ndarray, good: np.ndarray, z_good: np.ndarray) -> np.ndarray:
+    """Block index j, good[j] <= zero < good[j+1], of each bracket's zero (good.size - 1 past the
+    last point); a bracket across a good point g holds its zero past g when Z(lo) and Z(g) share a sign."""
+    lo, hi, z_lo = brackets[0], brackets[1], brackets[2]
+    j = np.searchsorted(good, lo, side="right") - 1
+    nxt = np.minimum(j + 1, good.size - 1)
+    across = (lo < good[nxt]) & (hi > good[nxt]) & ((z_lo >= 0.0) == (z_good[nxt] >= 0.0))
+    return j + across
 
 
 def _check_t_max(t_max: float) -> None:
@@ -272,31 +293,6 @@ def _check_t_max(t_max: float) -> None:
 def _round15(x: float) -> float:
     """x as the cache writes it: 15 significant digits."""
     return float(f"{x:.15g}")
-
-
-def _suspect_windows(bracket_lo: np.ndarray, t_max: float):
-    """Checkpoint sweep: windows whose running count drifts from the estimate.
-
-    The fluctuation term S(T) stays well below 1.4 at desk scale, so a
-    deviation >= 1.4 at a checkpoint (or a per-window jump >= 1.7) means a
-    missed pair rather than noise.  Each flagged checkpoint marks the window
-    since the previous one, widened by 1 on both sides; overlaps are merged.
-    """
-    checks = np.arange(_CHECKPOINT_SPACING, t_max + _CHECKPOINT_SPACING, _CHECKPOINT_SPACING)
-    checks[-1] = min(checks[-1], t_max)
-    counts = np.searchsorted(bracket_lo, checks, side="right")
-    nhat = counting_estimate(checks)
-    window_jump = np.abs(np.diff(counts, prepend=0) - np.diff(nhat, prepend=counting_estimate(_SCAN_START)))
-    drift = np.abs(counts - nhat)
-    bad = np.flatnonzero((window_jump >= 1.7) | (drift >= 1.4))
-    prev_t = np.concatenate([[_SCAN_START], checks[:-1]])
-    merged = []
-    for w_lo, w_hi in zip(np.maximum(_SCAN_START, prev_t[bad] - 1.0), np.minimum(t_max, checks[bad] + 1.0)):
-        if merged and w_lo <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], float(w_hi)))
-        else:
-            merged.append((float(w_lo), float(w_hi)))
-    return merged
 
 
 # ------------------------------------------------------------------- caching

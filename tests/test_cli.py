@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import xidist
 from xidist.cli import main
 from xidist.distribution import XiDistribution
 
@@ -73,6 +78,27 @@ def test_eval_zeros_backend_cold_equals_warm(tmp_path, capsys):
     code, warm, err = run_cli(argv, capsys)
     assert code == 0 and err == ""
     assert cold == warm
+
+
+def test_eval_zeros_backend_builds_past_a_large_s_of_t(tmp_path, capsys):
+    # the table for K = 7055 ends at gamma_ceiling(7055) = 7317, below which lie
+    # 7,057 zeros against a smooth estimate of 7,058.06
+    argv = ["eval", "--sigma", "2", "--t", "3", "--backend", "zeros", "--K", "7055",
+            "--cache", str(tmp_path / "zc.txt")]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0 and len(out.split()) == 2
+    assert "cached 7057 zeros" in err
+
+
+def test_eval_zeros_backend_overflow_is_one_error_line(big_zeros_path):
+    # a fresh interpreter, where a numpy RuntimeWarning would reach stderr
+    src = os.path.dirname(os.path.dirname(xidist.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = [sys.executable, "-m", "xidist.cli", "eval", "--sigma", "2", "--t", "5000",
+            "--backend", "zeros", "--K", "1000", "--cache", str(big_zeros_path)]
+    out = subprocess.run(argv, capture_output=True, text=True, env=env)
+    assert out.returncode == 3 and out.stdout == ""
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
 
 
 def test_zeros_above_ceiling_exits_before_building(tmp_path, monkeypatch, capsys):
@@ -202,7 +228,9 @@ def test_missed_zero_error_exit_code(monkeypatch, capsys):
     from xidist.accuracy import MissedZeroError
 
     def incomplete(*args, **kwargs):
-        raise MissedZeroError("count 3 below t=30 vs estimate 5.00")
+        raise MissedZeroError(
+            "1 zeros in the Rosser block [g(-1), g(1)) = [9.666908, 23.170283), which has 2 Gram intervals"
+        )
 
     monkeypatch.setattr(cli, "ensure_cache", incomplete)
     code, _, err = run_cli(["zeros", "--tmax", "30"], capsys)

@@ -2,6 +2,7 @@ import cmath
 import math
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from scipy.integrate import quad
 
 from xidist import levy
 from xidist.accuracy import (
+    AccuracyError,
     DomainError,
     InsufficientZerosError,
     MeasureDivergenceError,
@@ -151,6 +153,16 @@ def test_zero_tail_estimate_sums_the_zeros_beyond_k(big_zeros, k):
 def test_cf_from_zeros_insufficient(small_zeros):
     with pytest.raises(InsufficientZerosError):
         cf_from_zeros(2.0, 1.0, small_zeros, len(small_zeros) + 1)
+
+
+@pytest.mark.parametrize("sigma,t", [(2.0, 5000.0), (0.75, 3000.0)])
+def test_cf_from_zeros_overflow_raises_without_warning(big_zeros, sigma, t):
+    # far beyond gamma_K the K-zero product's log passes the float64 exp limit
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for ts in (t, np.array([1.0, t])):
+            with pytest.raises(AccuracyError, match="1000-zero product .* overflows float64"):
+                cf_from_zeros(sigma, ts, big_zeros, 1000)
 
 
 @pytest.mark.parametrize("k", [0, -5])

@@ -1,11 +1,12 @@
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xidist import zeros
-from xidist.accuracy import CacheChecksumError, CacheParseError, DomainError
-from xidist.specfun import z_values
+from xidist.accuracy import CacheChecksumError, CacheParseError, DomainError, MissedZeroError
+from xidist.specfun import riemann_siegel_theta, z_values
 from xidist.zeros import (
     ZeroList,
     ZeroRecord,
@@ -103,34 +104,6 @@ def _reference_scan(lo, hi, step):
     return np.stack([grid[idx], grid[idx + 1], z[idx], z[idx + 1]])
 
 
-def _suspect_windows_loop(bracket_lo, t_max):
-    """The checkpoint sweep with one scalar counting_estimate per checkpoint."""
-    spacing = 25.0
-    checks = np.arange(spacing, t_max + spacing, spacing)
-    checks[-1] = min(checks[-1], t_max)
-    windows = []
-    prev_t, prev_nhat, prev_count = 10.0, counting_estimate(10.0), 0
-    flagged_from = None
-    for t_chk in checks:
-        count = int(np.searchsorted(bracket_lo, t_chk, side="right"))
-        nhat = counting_estimate(float(t_chk))
-        window_jump = abs((count - prev_count) - (nhat - prev_nhat))
-        drift = abs(count - nhat)
-        if window_jump >= 1.7 or (drift >= 1.4 and flagged_from is None):
-            flagged_from = prev_t if flagged_from is None else flagged_from
-        if flagged_from is not None and (window_jump >= 1.7 or drift >= 1.4):
-            windows.append((max(10.0, flagged_from - 1.0), min(t_max, t_chk + 1.0)))
-            flagged_from = None
-        prev_t, prev_nhat, prev_count = t_chk, nhat, count
-    merged = []
-    for w in sorted(windows):
-        if merged and w[0] <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], w[1]))
-        else:
-            merged.append(w)
-    return merged
-
-
 @pytest.fixture(scope="module")
 def coarse_scan():
     return zeros._scan(10.0, 10020.05, 0.05)
@@ -142,29 +115,86 @@ def test_scan_equals_z_values_reference(coarse_scan):
     assert np.max(np.abs(coarse_scan[2:] - ref[2:])) <= 1e-10
 
 
-def test_suspect_windows_match_the_checkpoint_loop(coarse_scan):
-    lo = coarse_scan[0]
-    assert zeros._suspect_windows(lo, 10020.0) == [(3599.0, 3626.0)]
-    rng = np.random.default_rng(41)
-    for t_max in (10020.0, 5012.5, 777.7):
-        for _ in range(4):
-            # dropping a pair of brackets imitates a missed close pair
-            drop = rng.choice(np.count_nonzero(lo < t_max) - 1, 3, replace=False)
-            thinned = np.delete(lo, np.concatenate([drop, drop + 1]))
-            assert zeros._suspect_windows(thinned, t_max) == _suspect_windows_loop(thinned, t_max)
+def _good_gram_points(t_top):
+    """Indices and ordinates of the good Gram points g_{-1} <= g_n <= t_top."""
+    n = np.arange(-1, int(riemann_siegel_theta(t_top) / np.pi) + 1)
+    g = zeros._gram_points(n)
+    good = (-1.0) ** n * z_values(g) > 0.0
+    return n[good], g[good]
 
 
-def test_find_zeros_10k_rescans_one_window(monkeypatch):
-    flagged = []
-    sweep = zeros._suspect_windows
+def test_gram_points_match_mpmath():
+    ns = [-1, 0, 1, 50, 5000, 10100]
+    for n, g in zip(ns, zeros._gram_points(ns)):
+        with mp.workdps(30):
+            want = float(mp.grampoint(n))
+        assert abs(g - want) <= 1e-14 * want, n
 
-    def recording(bracket_lo, t_max):
-        flagged.append(sweep(bracket_lo, t_max))
-        return flagged[-1]
 
-    monkeypatch.setattr(zeros, "_suspect_windows", recording)
+def test_every_rosser_block_holds_its_count(big_zeros_found):
+    n, g = _good_gram_points(10020.0)
+    have = np.diff(np.searchsorted(big_zeros_found.gammas, g))
+    assert n[0] == -1 and g[-1] > 10000.0
+    assert np.array_equal(have, np.diff(n))
+
+
+def _patch_scan(monkeypatch, lost=(), every_step=False):
+    """Make zeros._scan lose the brackets of the zeros in ``lost`` on the coarse scan (or on
+    every scan); returns the list of rescan windows it is asked for."""
+    scan = zeros._scan
+    rescans = []
+
+    def patched(lo, hi, step):
+        b = scan(lo, hi, step)
+        if step != zeros._SCAN_STEP:
+            rescans.append((lo, hi))
+            if not every_step:
+                return b
+        keep = np.ones(b.shape[1], dtype=bool)
+        for gamma in lost:
+            keep &= ~((b[0] < gamma) & (gamma <= b[1]))
+        return b[:, keep]
+
+    monkeypatch.setattr(zeros, "_scan", patched)
+    return rescans
+
+
+def test_rescan_recovers_a_dropped_pair(monkeypatch, small_zeros):
+    # two adjacent zeros missing from the coarse scan, as a close pair would be;
+    # the rescan's brackets give the same ordinates (their halfwidths may differ)
+    pair = small_zeros.gammas[20:22]
+    rescans = _patch_scan(monkeypatch, lost=pair)
+    got = find_zeros(small_zeros.t_max)
+    assert rescans and all(lo < pair[1] and pair[0] < hi for lo, hi in rescans)
+    assert len(got) == len(small_zeros)
+    assert np.max(np.abs(got.gammas - small_zeros.gammas)) <= 1e-12
+
+
+def test_pair_dropped_by_every_scan_names_its_block(monkeypatch, small_zeros):
+    pair = small_zeros.gammas[20:22]
+    _patch_scan(monkeypatch, lost=pair, every_step=True)
+    n, g = _good_gram_points(130.0)
+    j = np.searchsorted(g, pair[0], side="right") - 1
+    with pytest.raises(MissedZeroError, match=rf"Rosser block \[g\({n[j]}\), g\({n[j + 1]}\)\)"):
+        find_zeros(120.0)
+
+
+def test_counts_where_the_smooth_estimate_is_off(big_zeros_found):
+    # |S(T)| exceeds 1 at both: the old certificate against theta(T)/pi + 1 raised on these complete lists
+    assert len(find_zeros(415.4619125)) == 213
+    assert len(find_zeros(gamma_ceiling(7055))) == 7057
+    rng = np.random.default_rng(9)
+    for t_max in rng.uniform(15.0, 10020.0, 8):
+        zl = find_zeros(t_max)
+        assert len(zl) == big_zeros_found.count_below(zl.t_max), t_max
+        assert np.all(np.abs(zl.gammas - big_zeros_found.gammas[: len(zl)]) <= 1e-9)
+
+
+def test_find_zeros_10k_rescans_no_drift_window(monkeypatch):
+    # [3599, 3626] is where the count drifts from theta(T)/pi + 1 with no zero missed
+    rescans = _patch_scan(monkeypatch)
     assert len(find_zeros(10020.0)) == 10166
-    assert flagged == [[(3599.0, 3626.0)]] * 2
+    assert not [w for w in rescans if w[0] <= 3626.0 and w[1] >= 3599.0]
 
 
 def test_counting_estimate_is_elementwise():
