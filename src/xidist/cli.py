@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from .accuracy import AccuracyError, CacheChecksumError, CacheParseError, DomainError, MissedZeroError
-from .distribution import _Y_UNDERFLOW, XiDistribution
+from .distribution import _CHUNK, _Y_UNDERFLOW, XiDistribution
 from .harness import (
     CrossCheckConfig,
     VerificationFailure,
@@ -95,9 +95,9 @@ def _cmd_density(args) -> int:
 def _cmd_sample(args) -> int:
     if args.n < 1:
         raise DomainError("--n must be >= 1")
-    dist = XiDistribution(args.sigma)
-    for v in dist.sample(args.n, args.seed):
-        print(_fmt(float(v)))
+    draws = XiDistribution(args.sigma).sample(args.n, args.seed)
+    for s in range(0, args.n, _CHUNK):
+        sys.stdout.write("".join(f"{_fmt(v)}\n" for v in draws[s : s + _CHUNK].tolist()))
     return 0
 
 

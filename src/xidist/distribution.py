@@ -40,6 +40,13 @@ __all__ = ["XiDistribution", "DensityTable"]
 # beyond this |y| (pi e^{2|y|} > 800) every series term underflows to 0 in float64
 _Y_UNDERFLOW = 0.5 * math.log(800.0 / math.pi)
 _TABLE_NODES = 4001
+# half the width of the bracket quantile closes around its result
+_QUANTILE_HALFWIDTH = 5e-10
+# Newton or bisection steps before quantile gives up; bisection alone closes [-Y, Y] in 33
+_QUANTILE_STEPS = 64
+# draws per pass of the sampler, and the most guide-table buckets it builds
+_CHUNK = 1 << 14
+_MAX_BUCKETS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -166,22 +173,49 @@ class XiDistribution:
         return left + quad_checked(self.density, 0.0, y, abs_tol=tol, rate=rate)
 
     def quantile(self, u: float) -> float:
-        """Inverse CDF by monotone bracketing + bisection to 1e-9 in y."""
+        """Inverse CDF to 1e-9 in y, by safeguarded Newton.
+
+        Newton steps on cdf(y) - u, with the density as its derivative, start
+        from the table's linear interpolation at u inside the table's bracket
+        of u.  A step that leaves the bracket, a zero density, or a converged
+        point whose bracket does not close bisects instead.  The result q is
+        returned once cdf(q - 5e-10) < u <= cdf(q + 5e-10) has been
+        evaluated, so the bracket closes to 1e-9; AccuracyError if it does not
+        close within ``_QUANTILE_STEPS`` steps.  Where pdf * 1e-9 is below the
+        rounding of the cdf (u within ~1e-9 of 1), the bracket holds for the
+        evaluated cdf only.
+        """
         if not 0.0 < u < 1.0:
             raise DomainError("quantile needs 0 < u < 1")
         lo, hi = -_Y_UNDERFLOW, _Y_UNDERFLOW
-        # table lookup narrows the bracket before resorting to quadrature
         table = self._table()
         i = int(np.searchsorted(table.cdf, u))
         if 0 < i < len(table.grid):
             lo, hi = float(table.grid[max(0, i - 2)]), float(table.grid[min(len(table.grid) - 1, i + 1)])
-        while hi - lo > 1e-9:
-            mid = 0.5 * (lo + hi)
-            if self.cdf(mid) < u:
-                lo = mid
+        h = _QUANTILE_HALFWIDTH
+        y = min(max(float(np.interp(u, *_strictly_increasing(table.cdf, table.grid))), lo), hi)
+        f = self.cdf(y) - u
+        closing_failed = False
+        for _ in range(_QUANTILE_STEPS):
+            if f < 0.0:
+                lo = y
             else:
-                hi = mid
-        return 0.5 * (lo + hi)
+                hi = y
+            d = 0.0 if closing_failed else self.density(y)
+            # a zero density, or a Newton point that did not close, bisects; f = 0 steps onto hi, inside
+            step = y - f / d if d > 0.0 else lo
+            if not lo < step <= hi:
+                step = 0.5 * (lo + hi)
+            if abs(step - y) > h and hi - lo > 2.0 * h:
+                y, f, closing_failed = step, self.cdf(step) - u, False
+                continue
+            # converged: close the bracket to [step - h, step + h]
+            y, f, closing_failed = step - h, self.cdf(step - h) - u, True
+            if f < 0.0:
+                y, f = step + h, self.cdf(step + h) - u
+                if f >= 0.0:
+                    return step
+        raise AccuracyError(f"quantile({u!r}) did not close its bracket to 1e-9", achieved=hi - lo)
 
     # ------------------------------------------------------------- sampling
 
@@ -189,14 +223,54 @@ class XiDistribution:
         return _build_table(self.sigma)
 
     def sample(self, n: int, seed: int) -> np.ndarray:
-        """n i.i.d. draws by inverse-CDF on the tabulated grid; deterministic per seed."""
+        """n i.i.d. draws by inverse CDF on the tabulated grid; deterministic per seed.
+
+        Each draw u of ``default_rng(seed).random(n)`` maps to the linear
+        interpolation of the trimmed table (``_strictly_increasing``), bit for
+        bit ``np.interp``'s; ``_interp_guided`` finds its segment through a
+        guide table instead of a binary search.
+        """
         if n < 1:
             raise DomainError("sample needs n >= 1")
         table = self._table()
-        rng = np.random.default_rng(seed)
-        u = rng.random(n)
-        cdf, grid = _strictly_increasing(table.cdf, table.grid)
-        return np.interp(u, cdf, grid)
+        u = np.random.default_rng(seed).random(n)
+        return _interp_guided(u, *_strictly_increasing(table.cdf, table.grid))
+
+
+def _interp_guided(u: np.ndarray, c: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """np.interp(u, c, g), bit for bit, for 0 <= u <= 1 and strictly increasing c >= 0.
+
+    u may be overwritten.  A guide table (Chen & Asau 1974) over M equal
+    buckets of [0, 1], M a power of two growing with len(u) up to
+    ``_MAX_BUCKETS``, holds the segment of each bucket's left end; only a draw
+    whose bucket holds a knot is looked up by ``np.searchsorted``.  The value
+    is np.interp's slope[j] (u - c[j]) + g[j], with slope 0 past either end
+    for its default left and right values g[0] and g[-1].  The draws are
+    taken ``_CHUNK`` at a time.  Fewer draws than knots do not pay for the
+    guide's set-up, which is linear in the knots, and go to ``np.interp``
+    itself.
+    """
+    if len(u) < len(c):
+        return np.interp(u, c, g)
+    # about four buckets a draw: the guide's set-up, linear in the buckets, stays below the draws' cost
+    buckets = min(_MAX_BUCKETS, 1 << (4 * len(u) - 1).bit_length())
+    # entry k = j + 1 is segment j = searchsorted(c, u, "right") - 1; k = 0 and k = len(c) are the flat ends
+    slope = np.concatenate([[0.0], np.diff(g) / np.diff(c), [0.0]])
+    start, base = np.concatenate([c[:1], c]), np.concatenate([g[:1], g])
+    # guide[b] = #{c <= b/M} = #{ceil(c M) <= b}: c M is exact, M being a power of two
+    guide = np.cumsum(np.bincount(np.ceil(c * buckets).astype(np.intp), minlength=buckets + 2))[: buckets + 1]
+    # a bucket holds a knot when its two ends lie in different segments; u = 1 (bucket M) always searches
+    mixed = np.append(guide[1:] != guide[:-1], True)
+    for s in range(0, len(u), _CHUNK):
+        v = u[s : s + _CHUNK]
+        b = (v * buckets).astype(np.intp)
+        k = guide[b]
+        hard = np.flatnonzero(mixed[b])
+        k[hard] = np.searchsorted(c, v[hard], side="right")
+        v -= start[k]
+        v *= slope[k]
+        v += base[k]
+    return u
 
 
 def _strictly_increasing(cdf: np.ndarray, grid: np.ndarray):

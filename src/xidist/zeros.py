@@ -118,21 +118,14 @@ def counting_estimate(t):
     return float(out) if out.ndim == 0 else out
 
 
-def gamma_ceiling(n_zeros: int) -> float:
-    """Tight ordinate below which the counting estimate promises n_zeros zeros (n_zeros >= 1)."""
+def gamma_ceiling(n_zeros: int) -> int:
+    """Tight ordinate below which the counting estimate promises n_zeros zeros (n_zeros >= 1).
+
+    The estimate theta(T)/pi + 1 reaches n_zeros + 2 at the Gram point g_{n_zeros + 1}.
+    """
     if n_zeros < 1:
         raise DomainError(f"need at least one zero, got {n_zeros}")
-    hi = 100.0
-    while counting_estimate(hi) < n_zeros + 2:
-        hi *= 1.25
-    lo = hi / 1.25
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if counting_estimate(mid) < n_zeros + 2:
-            lo = mid
-        else:
-            hi = mid
-    return math.ceil(hi)
+    return math.ceil(_gram_points([n_zeros + 1])[0])
 
 
 def _scan(lo: float, hi: float, step: float) -> np.ndarray:

@@ -155,6 +155,15 @@ def test_sample_deterministic(capsys):
     assert len(out1.strip().splitlines()) == 5
 
 
+def test_sample_prints_one_formatted_line_per_draw(capsys):
+    # 20,000 draws span two output chunks; the bytes are those of one _fmt line per draw
+    from xidist.cli import _fmt
+
+    code, out, _ = run_cli(["sample", "--sigma", "2", "--n", "20000", "--seed", "7"], capsys)
+    assert code == 0
+    assert out == "".join(_fmt(float(v)) + "\n" for v in XiDistribution(2.0).sample(20_000, 7))
+
+
 def test_zeros_count(tmp_path, capsys):
     cache = str(tmp_path / "zc.txt")
     code, out, _ = run_cli(["zeros", "--tmax", "100", "--cache", cache], capsys)

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xidist.accuracy import DomainError
-from xidist.distribution import XiDistribution
+from xidist.accuracy import AccuracyError, DomainError
+from xidist.distribution import XiDistribution, _interp_guided, _strictly_increasing
 
 
 @pytest.fixture(scope="module")
@@ -159,6 +159,32 @@ def test_quantile_inverts_cdf(d2, y):
     assert abs(d2.quantile(u) - y) <= 1e-7
 
 
+@pytest.mark.parametrize("sigma", [-2.0, 0.5, 2.0, 3.0])
+def test_quantile_closes_its_bracket_in_few_cdf_calls(sigma, monkeypatch):
+    d = XiDistribution(sigma)
+    cdf = XiDistribution.cdf
+    calls = []
+
+    def counted(self, y):
+        calls.append(y)
+        return cdf(self, y)
+
+    for u in (1e-9, 1e-6, 0.1, 0.5, 0.9, 1.0 - 1e-6):
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(XiDistribution, "cdf", counted)
+            q = d.quantile(u)
+        assert len(calls) <= 8, (u, len(calls))
+        assert d.cdf(q - 5e-10) < u <= d.cdf(q + 5e-10)
+
+
+def test_quantile_raises_when_its_bracket_cannot_close(monkeypatch):
+    # a cdf that never reaches u leaves no bracket to close
+    monkeypatch.setattr(XiDistribution, "cdf", lambda self, y: 0.0)
+    with pytest.raises(AccuracyError):
+        XiDistribution(2.0).quantile(0.5)
+
+
 def test_quantile_domain(d2):
     for u in (0.0, 1.0, -0.2, 1.3):
         with pytest.raises(DomainError):
@@ -166,6 +192,32 @@ def test_quantile_domain(d2):
 
 
 # ---------------------------------------------------------------- sampling
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.floats(min_value=-3.0, max_value=4.0),
+    st.sampled_from([1, 5, (1 << 14) - 1, (1 << 14) + 1, 100_003]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_sample_is_np_interp_of_the_trimmed_table(sigma, n, seed):
+    d = XiDistribution(sigma)
+    table = d._table()
+    want = np.interp(np.random.default_rng(seed).random(n), *_strictly_increasing(table.cdf, table.grid))
+    assert d.sample(n, seed).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("sigma", [-3.0, 2.0])
+def test_interp_guided_at_knots_and_ends(sigma):
+    table = XiDistribution(sigma)._table()
+    c, g = _strictly_increasing(table.cdf, table.grid)
+    assert 0.0 < c[0] and c[-1] < 1.0
+    # every knot and its two neighbouring doubles, 0 and below c[0], c[-1] and above it up to 1 - ulp
+    u = np.concatenate([c, np.nextafter(c, 0.0), np.nextafter(c, 1.0),
+                        [0.0, 0.5 * c[0], c[-1], 0.5 * (c[-1] + 1.0), np.nextafter(1.0, 0.0)]])
+    want = np.interp(u, c, g)
+    assert _interp_guided(u.copy(), c, g).tobytes() == want.tobytes()
+    assert want[-5] == want[-4] == g[0] and want[-3] == want[-1] == g[-1]
+
 
 def test_sample_deterministic(d2):
     a = d2.sample(1000, seed=123)

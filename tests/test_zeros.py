@@ -1,3 +1,5 @@
+import math
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -237,6 +239,28 @@ def test_tmax_above_ceiling(t_max):
 def test_gamma_ceiling_needs_one_zero(k):
     with pytest.raises(DomainError):
         gamma_ceiling(k)
+
+
+def test_gamma_ceiling_small_counts_are_tight():
+    # ceil(g_{n+1}): g_2 = 27.67, g_6 = 42.36
+    assert gamma_ceiling(1) == 28
+    assert gamma_ceiling(5) == 43
+
+
+@pytest.mark.parametrize("n", [19, 20, 100, 1000, 7055, 10000])
+def test_gamma_ceiling_matches_counting_estimate_search(n):
+    # reference: the least T at which the counting estimate reaches n + 2, by bisection
+    hi = 100.0
+    while counting_estimate(hi) < n + 2:
+        hi *= 1.25
+    lo = hi / 1.25
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        if counting_estimate(mid) < n + 2:
+            lo = mid
+        else:
+            hi = mid
+    assert gamma_ceiling(n) == math.ceil(hi)
 
 
 def test_indices_are_one_based(small_zeros):
