@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from .accuracy import AccuracyError, CacheChecksumError, CacheParseError, DomainError, MissedZeroError
-from .distribution import _CHUNK, _Y_UNDERFLOW, XiDistribution
+from .distribution import _Y_UNDERFLOW, XiDistribution
 from .harness import (
     CrossCheckConfig,
     VerificationFailure,
@@ -96,8 +96,9 @@ def _cmd_sample(args) -> int:
     if args.n < 1:
         raise DomainError("--n must be >= 1")
     draws = XiDistribution(args.sigma).sample(args.n, args.seed)
-    for s in range(0, args.n, _CHUNK):
-        sys.stdout.write("".join(f"{_fmt(v)}\n" for v in draws[s : s + _CHUNK].tolist()))
+    chunk = 1 << 14  # lines per write
+    for s in range(0, args.n, chunk):
+        sys.stdout.write("".join(f"{_fmt(v)}\n" for v in draws[s : s + chunk].tolist()))
     return 0
 
 

@@ -42,8 +42,9 @@ _Y_UNDERFLOW = 0.5 * math.log(800.0 / math.pi)
 _TABLE_NODES = 4001
 # half the width of the bracket quantile closes around its result
 _QUANTILE_HALFWIDTH = 5e-10
-# Newton or bisection steps before quantile gives up; bisection alone closes [-Y, Y] in 33
-_QUANTILE_STEPS = 64
+# Newton or bisection steps before quantile gives up: bisection alone closes [-Y, Y] in 33,
+# and a rejected Newton step costs one more step per halving
+_QUANTILE_STEPS = 100
 # draws per pass of the sampler, and the most guide-table buckets it builds
 _CHUNK = 1 << 14
 _MAX_BUCKETS = 1 << 15
@@ -177,36 +178,56 @@ class XiDistribution:
 
         Newton steps on cdf(y) - u, with the density as its derivative, start
         from the table's linear interpolation at u inside the table's bracket
-        of u.  A step that leaves the bracket, a zero density, or a converged
-        point whose bracket does not close bisects instead.  The result q is
-        returned once cdf(q - 5e-10) < u <= cdf(q + 5e-10) has been
-        evaluated, so the bracket closes to 1e-9; AccuracyError if it does not
-        close within ``_QUANTILE_STEPS`` steps.  Where pdf * 1e-9 is below the
-        rounding of the cdf (u within ~1e-9 of 1), the bracket holds for the
-        evaluated cdf only.
+        of u.  A step that leaves the bracket, does not halve the last move,
+        meets a zero density, or follows a converged point whose bracket did
+        not close bisects instead.  The result q is returned once points
+        below >= q - 5e-10 and above <= q + 5e-10 with cdf(below) < u <=
+        cdf(above) are known, each evaluated or a support end -Y, Y (cdf(-Y)
+        = 0; u above cdf(Y) gives q within 5e-10 of Y), as near Newton's point
+        as that allows; AccuracyError if they are not found within
+        ``_QUANTILE_STEPS`` steps.  Where pdf * 1e-9 is below the rounding of
+        the cdf (u within ~1e-9 of 1), the bracket holds for the rounded,
+        evaluated cdf only, which is weaker than 1e-9 in y: there q moves by
+        up to ~1e-6 with the cdf's rounding.
         """
         if not 0.0 < u < 1.0:
             raise DomainError("quantile needs 0 < u < 1")
-        lo, hi = -_Y_UNDERFLOW, _Y_UNDERFLOW
+        # search bracket [lo, hi]; [below, above] holds only evaluated points and the support's ends
+        lo = below = -_Y_UNDERFLOW
+        hi = above = y = _Y_UNDERFLOW
         table = self._table()
-        i = int(np.searchsorted(table.cdf, u))
-        if 0 < i < len(table.grid):
-            lo, hi = float(table.grid[max(0, i - 2)]), float(table.grid[min(len(table.grid) - 1, i + 1)])
+        c, g = table.cdf, table.grid
+        # start inside the table's bracket of u, c[i - 1] < u <= c[i] (i >= 1: c[0] = 0), or at Y past its end
+        i = int(np.searchsorted(c, u))
+        if i < len(c):
+            lo, hi = max(float(g[max(0, i - 2)]), lo), min(float(g[min(len(c) - 1, i + 1)]), hi)
+            y = min(max(float(g[i - 1] + (g[i] - g[i - 1]) * (u - c[i - 1]) / (c[i] - c[i - 1])), lo), hi)
         h = _QUANTILE_HALFWIDTH
-        y = min(max(float(np.interp(u, *_strictly_increasing(table.cdf, table.grid))), lo), hi)
         f = self.cdf(y) - u
-        closing_failed = False
+        closing_failed, last = False, math.inf
         for _ in range(_QUANTILE_STEPS):
             if f < 0.0:
-                lo = y
+                lo = below = y
             else:
-                hi = y
+                hi = above = y
             d = 0.0 if closing_failed else self.density(y)
-            # a zero density, or a Newton point that did not close, bisects; f = 0 steps onto hi, inside
-            step = y - f / d if d > 0.0 else lo
-            if not lo < step <= hi:
+            step = y - f / d if d > 0.0 else y
+            if above - below <= 2.0 * h:
+                # closed, also where the evaluated cdf is flat or not monotone: every q in [above - h, below + h]
+                # has cdf(q - h) < u <= cdf(q + h).  Return the nearest to Newton's point, unless that point lies
+                # in the bracket but outside this range: closing around it costs two cdfs and is more accurate
+                q = min(max(step, above - h), below + h)
+                if q == step or d == 0.0 or not lo < step <= hi:
+                    return q
+            if hi - lo <= 2.0 * h:
+                # the table's bracket missed u for the evaluated cdf (u above cdf(Y), say): search the rest
+                lo, hi = below, above
+            # a zero density, a Newton point that did not close, a step out of the bracket or one not
+            # below half the last move (slow convergence) bisects; f = 0 steps onto hi, inside
+            if not (d > 0.0 and lo < step <= hi and abs(step - y) < 0.5 * last):
                 step = 0.5 * (lo + hi)
-            if abs(step - y) > h and hi - lo > 2.0 * h:
+            if abs(step - y) > h:
+                last = abs(step - y)
                 y, f, closing_failed = step, self.cdf(step) - u, False
                 continue
             # converged: close the bracket to [step - h, step + h]
@@ -215,7 +236,7 @@ class XiDistribution:
                 y, f = step + h, self.cdf(step + h) - u
                 if f >= 0.0:
                     return step
-        raise AccuracyError(f"quantile({u!r}) did not close its bracket to 1e-9", achieved=hi - lo)
+        raise AccuracyError(f"quantile({u!r}) did not close its bracket to 1e-9", achieved=above - below)
 
     # ------------------------------------------------------------- sampling
 
@@ -246,30 +267,27 @@ def _interp_guided(u: np.ndarray, c: np.ndarray, g: np.ndarray) -> np.ndarray:
     whose bucket holds a knot is looked up by ``np.searchsorted``.  The value
     is np.interp's slope[j] (u - c[j]) + g[j], with slope 0 past either end
     for its default left and right values g[0] and g[-1].  The draws are
-    taken ``_CHUNK`` at a time.  Fewer draws than knots do not pay for the
-    guide's set-up, which is linear in the knots, and go to ``np.interp``
-    itself.
+    taken ``_CHUNK`` at a time.
     """
-    if len(u) < len(c):
-        return np.interp(u, c, g)
     # about four buckets a draw: the guide's set-up, linear in the buckets, stays below the draws' cost
     buckets = min(_MAX_BUCKETS, 1 << (4 * len(u) - 1).bit_length())
-    # entry k = j + 1 is segment j = searchsorted(c, u, "right") - 1; k = 0 and k = len(c) are the flat ends
-    slope = np.concatenate([[0.0], np.diff(g) / np.diff(c), [0.0]])
-    start, base = np.concatenate([c[:1], c]), np.concatenate([g[:1], g])
-    # guide[b] = #{c <= b/M} = #{ceil(c M) <= b}: c M is exact, M being a power of two
-    guide = np.cumsum(np.bincount(np.ceil(c * buckets).astype(np.intp), minlength=buckets + 2))[: buckets + 1]
-    # a bucket holds a knot when its two ends lie in different segments; u = 1 (bucket M) always searches
-    mixed = np.append(guide[1:] != guide[:-1], True)
+    # segment j = searchsorted(c, u, "right") - 1 runs from -1 to len(c) - 1; slope[-1] and slope[len(c) - 1] are 0,
+    # the flat ends, and take(mode="clip") reads c[0], g[0] at j = -1
+    slope = np.zeros(len(c) + 1)
+    np.divide(g[1:] - g[:-1], c[1:] - c[:-1], out=slope[:-2])
+    # guide[b] + 1 = #{c <= b/M} = #{ceil(c M) <= b}: c M is exact, M being a power of two
+    guide = np.cumsum(np.bincount(np.ceil(c * buckets).astype(np.intp), minlength=buckets + 2)[: buckets + 2]) - 1
+    # a bucket holds a knot when its two ends lie in different segments; bucket M holds u = 1 only, where guide is exact
+    mixed = guide[1:] != guide[:-1]
     for s in range(0, len(u), _CHUNK):
         v = u[s : s + _CHUNK]
         b = (v * buckets).astype(np.intp)
-        k = guide[b]
+        j = guide[b]
         hard = np.flatnonzero(mixed[b])
-        k[hard] = np.searchsorted(c, v[hard], side="right")
-        v -= start[k]
-        v *= slope[k]
-        v += base[k]
+        j[hard] = np.searchsorted(c, v[hard], side="right") - 1
+        v -= c.take(j, mode="clip")
+        v *= slope[j]
+        v += g.take(j, mode="clip")
     return u
 
 
@@ -281,7 +299,7 @@ def _strictly_increasing(cdf: np.ndarray, grid: np.ndarray):
     first = max(0, first - 1)
     last = min(len(cdf), last + 1)
     c, g = cdf[first:last], grid[first:last]
-    keep = np.concatenate([[True], np.diff(c) > 0.0])
+    keep = np.concatenate(([True], c[1:] > c[:-1]))
     return c[keep], g[keep]
 
 

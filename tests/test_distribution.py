@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xidist.accuracy import AccuracyError, DomainError
-from xidist.distribution import XiDistribution, _interp_guided, _strictly_increasing
+from xidist import distribution
+from xidist.distribution import _Y_UNDERFLOW, XiDistribution, _interp_guided, _strictly_increasing
 
 
 @pytest.fixture(scope="module")
@@ -178,11 +179,28 @@ def test_quantile_closes_its_bracket_in_few_cdf_calls(sigma, monkeypatch):
         assert d.cdf(q - 5e-10) < u <= d.cdf(q + 5e-10)
 
 
-def test_quantile_raises_when_its_bracket_cannot_close(monkeypatch):
-    # a cdf that never reaches u leaves no bracket to close
+def test_quantile_of_u_above_the_evaluated_mass_is_the_support_end(monkeypatch):
+    # a cdf that never reaches u: the search leaves the table's bracket and closes at Y
     monkeypatch.setattr(XiDistribution, "cdf", lambda self, y: 0.0)
+    assert abs(XiDistribution(2.0).quantile(0.5) - _Y_UNDERFLOW) <= 1e-9
+
+
+def test_quantile_raises_when_its_bracket_cannot_close(monkeypatch):
+    monkeypatch.setattr(XiDistribution, "cdf", lambda self, y: 0.0)
+    # three steps cannot take the search from the table's bracket of 0.5 to Y
+    monkeypatch.setattr(distribution, "_QUANTILE_STEPS", 3)
     with pytest.raises(AccuracyError):
         XiDistribution(2.0).quantile(0.5)
+
+
+@pytest.mark.parametrize("sigma", [-2.0, 0.5, 2.0, 3.0])
+def test_quantile_at_the_ends_of_the_unit_interval(sigma):
+    # the evaluated cdf is flat, or below u everywhere, within a few ulps of 0 and 1
+    d = XiDistribution(sigma)
+    for u in (5e-324, 1e-300, 1.0 - 1e-15, float(np.nextafter(1.0, 0.0))):
+        q = d.quantile(u)
+        assert -_Y_UNDERFLOW <= q <= _Y_UNDERFLOW
+        assert d.cdf(q - 5e-10) < u and (u <= d.cdf(q + 5e-10) or q >= _Y_UNDERFLOW - 5e-10)
 
 
 def test_quantile_domain(d2):
