@@ -23,7 +23,7 @@ from .accuracy import (
 )
 from .distribution import DensityTable, XiDistribution
 from .levy import PrimeCutoff, QuasiLevyTriplet, SignedMeasure
-from .specfun import log_gamma, riemann_siegel_Z, theta_kernel, xi, xi_theta, zeta
+from .specfun import log_gamma, theta_kernel, xi, zeta
 from .zeros import ZeroList, ZeroRecord, find_zeros, load_cache, save_cache
 
 __version__ = "0.1.0"
@@ -49,11 +49,9 @@ __all__ = [
     "find_zeros",
     "load_cache",
     "log_gamma",
-    "riemann_siegel_Z",
     "save_cache",
     "theta_kernel",
     "xi",
-    "xi_theta",
     "zeta",
     "__version__",
 ]

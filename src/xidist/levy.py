@@ -10,8 +10,7 @@ direct xi ratio:
   atoms of mass p^{-r sigma}/r at r log p  (``xi_triplet``);
 * zero route (sigma > 1/2): product over paired critical zeros of
   (A - i gamma - it)(A + i gamma - it) / ((A - i gamma)(A + i gamma)),
-  A = sigma - 1/2, one log per pair in ``cf_from_zeros`` and one log per
-  factor through ``exp_factor_log`` in ``zero_pair_factor_log``;
+  A = sigma - 1/2, one log per pair in ``cf_from_zeros``;
 * Gamma-law route: Malmsten-type exponent reproducing
   log Gamma(sigma-it) - log Gamma(sigma)  (``gamma_levy_log``);
 * exponential smoothing: Xi*_sigma(t) = (sigma-1)/(sigma-1-it) Xi_sigma(t),
@@ -25,9 +24,10 @@ branch jump of 2 pi i could not change a value, and none occurs for real t
 because Im w = -2At/(A^2 + gamma^2) keeps 1 + w off the negative real axis.
 e^{iu}-1 and e^{iu}-1-iu are evaluated in cancellation-free form.  Prime
 sums are truncated at an explicit cutoff whose tail bound is exposed for
-error budgeting.  The CF evaluators (``cf_from_zeros``, ``cf_from_triplet``,
-``log_cf_from_triplet``) take a scalar or an array t; an array is evaluated
-in one call, in row blocks of at most 2^14 entries per temporary.
+error budgeting.  The exponent and CF evaluators (``gamma_levy_log``,
+``cf_from_zeros``, ``cf_from_triplet``, ``log_cf_from_triplet``) take a scalar
+or an array t; an array is evaluated in one call, in row blocks of at most
+2^14 entries per temporary.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from .accuracy import (
     EvalAccuracy,
     InsufficientZerosError,
     MeasureDivergenceError,
-    ensure_finite,
 )
 from .quadrature import fourier_quad, kernel_sum, quad_checked, row_blocks
 # not called here; bench/tracing.py wraps it under this module's name
@@ -65,12 +64,8 @@ __all__ = [
     "primes_up_to",
     "prime_atoms",
     "prime_atom_tail_bound",
-    "exp_factor_log",
-    "zero_pair_factor_log",
-    "off_line_factor_log",
     "cf_from_zeros",
     "zero_tail_estimate",
-    "prime_log_ratio",
     "gamma_drift",
     "gamma_levy_log",
     "xi_triplet",
@@ -103,17 +98,6 @@ def _eiu_m1_miu(u: np.ndarray) -> np.ndarray:
     series = -(u * u2) / 6.0 * (1.0 - u2 / 20.0 * (1.0 - u2 / 42.0))
     np.copyto(out.imag, np.where(np.abs(u) < 1e-2, series, np.sin(u) - u))
     return out
-
-
-def _log1p_c(w):
-    """log(1+w) for complex scalars/arrays, series-protected for small |w|."""
-    w = np.asarray(w, dtype=complex)
-    out = np.empty_like(w)
-    small = np.abs(w) < 1e-4
-    ws = w[small]
-    out[small] = ws * (1.0 - ws * (0.5 - ws * (1.0 / 3.0 - 0.25 * ws)))
-    out[~small] = np.log(1.0 + w[~small])
-    return complex(out) if out.ndim == 0 else out
 
 
 def _finite_t(t) -> np.ndarray:
@@ -295,7 +279,7 @@ def _atom_arrays(sigma: float, p_max: int, r_max: int):
 
 def prime_atoms(sigma: float, cut: PrimeCutoff) -> tuple[np.ndarray, np.ndarray]:
     """Atoms (r log p, p^{-r sigma}/r) for p <= p_max, r <= r_max; sigma > 1."""
-    if sigma <= 1.0:
+    if not sigma > 1.0:
         raise DomainError("prime atoms converge only for sigma > 1")
     return _atom_arrays(float(sigma), cut.p_max, cut.r_max)
 
@@ -307,7 +291,7 @@ def prime_atom_tail_bound(sigma: float, cut: PrimeCutoff) -> float:
     plus a geometric r>=2 remainder; the prime sum is bounded through the
     prime-counting density 1.3/log u (checked against direct sums in tests).
     """
-    if sigma <= 1.0:
+    if not sigma > 1.0:
         raise DomainError("tail bound needs sigma > 1")
     p, lg = float(cut.p_max), math.log(cut.p_max)
     single = 1.3 * p ** (1.0 - sigma) / ((sigma - 1.0) * lg)
@@ -315,67 +299,7 @@ def prime_atom_tail_bound(sigma: float, cut: PrimeCutoff) -> float:
     return 2.0 * (single + squares)
 
 
-def prime_log_ratio(sigma: float, t: float, cut: PrimeCutoff) -> complex:
-    """Truncated prime-power exponent sum_p sum_r (p^{-r sigma}/r)(e^{i r t log p}-1).
-
-    Converges to log(zeta(sigma-it)/zeta(sigma)) as the cutoff grows; the
-    truncation error is bounded by ``prime_atom_tail_bound``.
-    """
-    if sigma <= 1.0:
-        raise DomainError("prime representation needs sigma > 1")
-    t = float(ensure_finite(t, "t").real)
-    if t == 0.0:
-        return 0.0 + 0.0j
-    locs, masses = prime_atoms(sigma, cut)
-    return complex(kernel_sum(_eiu_m1, np.array([t]), locs, masses)[0])
-
-
-# --------------------------------------------------------- zero-pair factors
-
-def exp_factor_log(alpha: complex, z: float) -> complex:
-    """log(alpha/(alpha - iz)) for Re alpha > 0.
-
-    Equals int_0^inf (e^{izx}-1) x^{-1} e^{-alpha x} dx, the exponential-law
-    exponent with complex rate; verified against quadrature in the tests.
-    """
-    alpha = ensure_finite(alpha, "alpha")
-    if alpha.real <= 0.0:
-        raise DomainError("exp_factor_log needs Re(alpha) > 0")
-    return -_log1p_c(-1j * z / alpha)
-
-
-def zero_pair_factor_log(sigma: float, gamma: float, t: float) -> complex:
-    """log of the paired-zero CF factor for a critical-line zero ordinate gamma.
-
-    With A = sigma - 1/2 > 0:
-        log[(A - i gamma - it)(A + i gamma - it) / ((A - i gamma)(A + i gamma))]
-    accumulated factor-by-factor through ``exp_factor_log``, so the value is
-    continuous in t and exactly 0 at t = 0.  It equals
-        -2 int_0^inf (e^{itx}-1) cos(gamma x) e^{-A x} dx / x.
-    """
-    if sigma <= 0.5:
-        raise DomainError("zero factor needs sigma > 1/2")
-    if gamma <= 0.0:
-        raise DomainError("gamma must be positive")
-    a = sigma - 0.5
-    return -exp_factor_log(complex(a, -gamma), t) - exp_factor_log(complex(a, gamma), t)
-
-
-def off_line_factor_log(sigma: float, beta: float, gamma: float, t: float) -> complex:
-    """Four-factor term for a hypothetical off-line zero beta + i gamma.
-
-    Uses decay offsets (sigma - beta) and (sigma - 1 + beta); both must be
-    positive, which holds in the sigma >= 1 regime for beta in (0, 1).
-    """
-    for off in (sigma - beta, sigma - 1.0 + beta):
-        if off <= 0.0:
-            raise DomainError("off-line factor needs sigma-beta and sigma-1+beta > 0")
-    total = 0.0 + 0.0j
-    for off in (sigma - beta, sigma - 1.0 + beta):
-        total -= exp_factor_log(complex(off, -gamma), t)
-        total -= exp_factor_log(complex(off, gamma), t)
-    return total
-
+# ------------------------------------------------------------- zero product
 
 class ZeroProductResult(NamedTuple):
     """Scalars for a scalar t; arrays of t's shape for an array t."""
@@ -408,11 +332,10 @@ def cf_from_zeros(sigma: float, t, zl: ZeroList, k: int) -> ZeroProductResult:
     exp( sum_{j<=K} log(1 + w_j) ), w_j = -t(t + 2ia)/(a^2 + gamma_j^2) with
     a = sigma - 1/2, one log per conjugate zero pair (the pair factor
     (A - i gamma - it)(A + i gamma - it)/((A - i gamma)(A + i gamma)) is
-    1 + w); off-line records (if any are supplied) add their four-factor
-    terms.  t may be a scalar (a result of scalars) or an array (a result of
+    1 + w).  t may be a scalar (a result of scalars) or an array (a result of
     arrays of its shape).
     """
-    if sigma <= 0.5:
+    if not sigma > 0.5:
         raise DomainError("zero-product representation needs sigma > 1/2")
     if k < 1:
         raise DomainError(f"need at least one zero, got K = {k}")
@@ -435,8 +358,6 @@ def cf_from_zeros(sigma: float, t, zl: ZeroList, k: int) -> ZeroProductResult:
         log_mod2 = np.where(mod2 < 0.5, np.log(mod2), np.log1p(re * (2.0 + re) + im * im))
         total.real[blk] = 0.5 * log_mod2.sum(axis=1)
         total.imag[blk] = np.arctan2(im, p).sum(axis=1)
-    for rec in zl.off_line:
-        total += off_line_factor_log(sigma, rec.beta, rec.gamma, flat)
     if np.any(total.real > _LOG_FLOAT_MAX):
         raise AccuracyError(f"the {k}-zero product at sigma={sigma:g} overflows float64")
     value = np.exp(total)
@@ -451,7 +372,7 @@ def cf_from_zeros(sigma: float, t, zl: ZeroList, k: int) -> ZeroProductResult:
 
 def gamma_drift(sigma: float) -> float:
     """C(sigma) = int_0^1 (e^{-sigma x}/(1-e^{-x}) - e^{-x}/x) dx - int_1^inf e^{-x}/x dx."""
-    if sigma <= 0.0:
+    if not sigma > 0.0:
         raise DomainError("gamma drift needs sigma > 0")
     # the head integrand is finite at 0; its two ~1/x terms cancel to O(1),
     # which at the panel nodes (all above 2e-3) costs under 1e-13 per node
@@ -460,17 +381,19 @@ def gamma_drift(sigma: float) -> float:
     return head - tail
 
 
-def gamma_levy_log(sigma: float, t: float, acc: EvalAccuracy = DEFAULT_ACCURACY) -> complex:
+def gamma_levy_log(sigma: float, t, acc: EvalAccuracy = DEFAULT_ACCURACY):
     """Malmsten-form exponent for Gamma(sigma-it)/Gamma(sigma), sigma > 0.
 
     it C(sigma) + int_0^inf (e^{itx}-1-itx 1_{[0,1]}) / (x e^{sigma x}(1-e^{-x})) dx,
     which the tests pin against log_gamma(sigma-it) - log_gamma(sigma).  The
     integral is two ``fourier_quad`` panel rules, compensated on [0, 1] and
-    plain on [1, 36/sigma + 4], as in ``log_cf_from_triplet``.
+    plain on [1, 36/sigma + 4], as in ``log_cf_from_triplet``.  t may be a
+    scalar (complex result) or an array (complex array of its shape).
     """
-    if sigma <= 0.0:
+    if not sigma > 0.0:
         raise DomainError("gamma representation needs sigma > 0")
-    t = float(ensure_finite(t, "t").real)
+    t = _finite_t(t)
+    flat = t.ravel()
     tol = max(acc.abs_tol, 1e-12)
 
     def dens(x):
@@ -478,9 +401,10 @@ def gamma_levy_log(sigma: float, t: float, acc: EvalAccuracy = DEFAULT_ACCURACY)
 
     # the density varies at its decay rate and on the unit scale of its pole at 0
     rate = sigma + 2.0
-    integral = fourier_quad(dens, 0.0, 1.0, t, tol, rate, kernel=_eiu_m1_miu)
-    integral += fourier_quad(dens, 1.0, 36.0 / sigma + 4.0, t, tol, rate, kernel=_eiu_m1)
-    return 1j * t * gamma_drift(sigma) + integral
+    total = fourier_quad(dens, 0.0, 1.0, flat, tol, rate, kernel=_eiu_m1_miu)
+    total += fourier_quad(dens, 1.0, 36.0 / sigma + 4.0, flat, tol, rate, kernel=_eiu_m1)
+    total += 1j * flat * gamma_drift(sigma)
+    return complex(total[0]) if t.ndim == 0 else total.reshape(t.shape)
 
 
 # -------------------------------------------------------- triplet builders
@@ -488,7 +412,7 @@ def gamma_levy_log(sigma: float, t: float, acc: EvalAccuracy = DEFAULT_ACCURACY)
 def xi_triplet(sigma: float, cut: PrimeCutoff = PrimeCutoff()) -> QuasiLevyTriplet:
     """Quasi-Levy triplet of the sigma > 1 law: signed continuous density plus
     prime atoms, compensated on [0, 1/2] (all atoms sit above log 2 > 1/2)."""
-    if sigma <= 1.0:
+    if not sigma > 1.0:
         raise DomainError("triplet requires sigma > 1")
     drift = (
         (math.exp(-0.5 * sigma) - 1.0) / sigma
@@ -515,7 +439,7 @@ def xi_star_triplet(sigma: float, cut: PrimeCutoff = PrimeCutoff()) -> QuasiLevy
             = 1/(x e^{(sigma+2) x}(1-e^{-2x})),
     so the strictly positive difference never cancels to zero in floats.
     """
-    if sigma <= 1.0:
+    if not sigma > 1.0:
         raise DomainError("smoothed triplet requires sigma > 1")
     drift = (
         (math.exp(-0.5 * sigma) - 1.0) / sigma

@@ -6,15 +6,14 @@ the zero finder) is built on the routines in this module, so each evaluator is
 held to a stated accuracy and cross-checkable against an independent path:
 
 * ``xi`` multiplies s(s-1) pi^{-s/2} Gamma(s/2) zeta(s) out of log-gamma and
-  zeta evaluators, while ``xi_theta`` reaches the same entire function through
-  the absolutely convergent theta-kernel integral
-      xi(s) = 2 \int_1^inf  sum_n f(nx) (x^{s-1/2} + x^{1/2-s}) x^{-1/2} dx,
-  f(x) = 2 pi (2 pi x^4 - 3 x^2) e^{-pi x^2}.
-* ``z_values`` is the one Z(t) evaluator, over arrays (``riemann_siegel_Z`` is
-  its 0-d call): exact-phase (e^{i theta(t)} zeta(1/2+it)) below t = 1000 and
-  the Riemann-Siegel main sum plus its first correction term above, which is
-  ample for locating sign changes.  ``z_grid`` gives the same values on a
-  uniform grid t = t_b + j h by the grid factorization
+  zeta evaluators; the theta-kernel sum ``theta_sum`` of
+  f(x) = 2 pi (2 pi x^4 - 3 x^2) e^{-pi x^2} gives the density, whose Fourier
+  transform reaches the same function by an independent route.
+* ``z_values`` is the one Z(t) evaluator, over arrays: exact-phase
+  (e^{i theta(t)} zeta(1/2+it)) below t = 1000 and the Riemann-Siegel main
+  sum plus its first correction term above, which is ample for locating sign
+  changes.  ``z_grid`` gives the same values on a uniform grid t = t_b + j h
+  by the grid factorization
       n^{-1/2-it} = n^{-1/2} e^{-i t_b log n} e^{-i j h log n}:
   the Dirichlet head over blocks of 64 points is one complex matrix product
   (block rows times a table shared by all blocks), the rest is z_values' code.
@@ -47,7 +46,6 @@ from .accuracy import (
     PoleError,
     ensure_finite,
 )
-from .quadrature import quad_checked
 
 __all__ = [
     "log_gamma",
@@ -55,9 +53,7 @@ __all__ = [
     "xi",
     "theta_kernel",
     "theta_sum",
-    "xi_theta",
     "riemann_siegel_theta",
-    "riemann_siegel_Z",
     "z_values",
     "z_grid",
 ]
@@ -299,26 +295,6 @@ def theta_sum(x, abs_tol: float = 1e-16):
     return float(total) if total.ndim == 0 else total
 
 
-def xi_theta(s: complex, acc: EvalAccuracy = DEFAULT_ACCURACY) -> complex:
-    """xi(s) by the theta-kernel integral; an independent route to ``xi``.
-
-    The integrand (one ``theta_sum`` call over the panel nodes) is integrated
-    over [1, X] by ``quad_checked``, certified to max(abs_tol, 1e-13); beyond
-    X = 8 it is below 1e-180 for |Re s| <= 10, far inside any tolerance.
-    """
-    z = ensure_finite(s, "xi_theta argument")
-    tol = max(acc.abs_tol, 1e-13)
-
-    def integrand(x):
-        log_x = np.log(x)
-        return theta_sum(x, abs_tol=tol) * (np.exp((z - 1.0) * log_x) + np.exp(-z * log_x))
-
-    x_hi = 8.0 + 0.1 * max(0.0, abs(z.real) - 10.0)
-    # x^{+-i Im s} turns at rate |Im s| near x = 1; the theta series varies on the unit scale
-    rate = abs(z.imag) + 4.0
-    return 2.0 * quad_checked(integrand, 1.0, x_hi, abs_tol=tol, rate=rate)
-
-
 # ------------------------------------------------------- Riemann-Siegel Z(t)
 
 def _theta_asymptotic(t):
@@ -497,8 +473,3 @@ def _z_grid_piece(ts: np.ndarray, step: float) -> np.ndarray:
         head[seg] = _grid_head(th[seg], step, int(n_terms))
     out[n_low:] = 2.0 * (np.exp(1j * _theta_asymptotic(th)) * head).real + correction
     return out
-
-
-def riemann_siegel_Z(t: float) -> float:
-    """Z(t) at one ordinate: ``z_values`` on a 0-d input."""
-    return float(z_values(t))

@@ -12,9 +12,9 @@ values the scan computed at its ends, is refined by Illinois regula falsi
 h <= 1e-9, across which Z changes sign in memory and after a reload; t_max
 is capped at 1e5.
 
-Every located zero is recorded with real part 1/2.  The data model carries a
-separate sequence for hypothetical off-line zeros so that downstream code can
-treat them generically, but no computation ever populates it.
+Every located zero lies on the critical line: the cache's fourth column, the
+real part beta, is always written as 0.5, and ``load_cache`` rejects any other
+value.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -63,13 +63,10 @@ class ZeroRecord:
     index: int
     gamma: float
     bracket_halfwidth: float
-    beta: float = 0.5
 
     def __post_init__(self):
         if self.index < 1 or self.gamma <= 0.0 or self.bracket_halfwidth <= 0.0:
             raise ValueError("invalid zero record")
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError("beta must lie in the critical strip")
 
 
 @dataclass(frozen=True)
@@ -78,7 +75,6 @@ class ZeroList:
 
     records: tuple[ZeroRecord, ...]
     t_max: float
-    off_line: tuple[ZeroRecord, ...] = field(default=())
 
     def __post_init__(self):
         g = [r.gamma for r in self.records]
@@ -300,8 +296,8 @@ def save_cache(zl: ZeroList, path) -> None:
     renamed onto ``path``, so a reader never sees a partial or interleaved cache.
     """
     lines = [f"{_CACHE_MAGIC} t_max={zl.t_max:.15g}\n"]
-    for r in list(zl.records) + list(zl.off_line):
-        lines.append(f"{r.index} {r.gamma:.15g} {r.bracket_halfwidth:.15g} {r.beta:.15g}\n")
+    for r in zl.records:
+        lines.append(f"{r.index} {r.gamma:.15g} {r.bracket_halfwidth:.15g} 0.5\n")
     body = "".join(lines).encode("ascii")
     digest = hashlib.sha256(body).hexdigest()
     tmp = f"{path}.{os.urandom(8).hex()}.tmp"
@@ -334,22 +330,20 @@ def load_cache(path) -> ZeroList:
     digest = hashlib.sha256(body.encode("ascii")).hexdigest()
     if digest != stated:
         raise CacheChecksumError(f"checksum mismatch: file {stated[:12]}.. vs computed {digest[:12]}..")
-    on_line, off_line = [], []
+    records = []
     for i, line in enumerate(lines[1:-2], start=2):
         parts = line.split()
         if len(parts) != 4:
             raise CacheParseError(f"expected 4 fields, got {len(parts)}", line=i)
         try:
-            rec = ZeroRecord(
-                index=int(parts[0]),
-                gamma=float(parts[1]),
-                bracket_halfwidth=float(parts[2]),
-                beta=float(parts[3]),
-            )
+            rec = ZeroRecord(index=int(parts[0]), gamma=float(parts[1]), bracket_halfwidth=float(parts[2]))
+            beta = float(parts[3])
         except ValueError as exc:
             raise CacheParseError(str(exc), line=i) from None
-        (on_line if rec.beta == 0.5 else off_line).append(rec)
-    return ZeroList(records=tuple(on_line), t_max=t_max, off_line=tuple(off_line))
+        if beta != 0.5:
+            raise CacheParseError(f"beta {parts[3]} is off the critical line", line=i)
+        records.append(rec)
+    return ZeroList(records=tuple(records), t_max=t_max)
 
 
 def ensure_cache(t_max: float, path=None, progress=None) -> ZeroList:

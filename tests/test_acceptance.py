@@ -14,19 +14,21 @@ import numpy as np
 from xidist.distribution import XiDistribution
 from xidist.levy import (
     PrimeCutoff,
+    QuasiLevyTriplet,
+    SignedMeasure,
     cf_from_triplet,
     cf_from_zeros,
     cf_xi_star,
     gamma_levy_log,
+    log_cf_from_triplet,
     prime_atom_tail_bound,
-    prime_log_ratio,
+    prime_atoms,
     total_variation_integral,
     xi_star_triplet,
     xi_triplet,
-    zero_pair_factor_log,
 )
 from xidist.specfun import log_gamma, xi, zeta
-from xidist.zeros import counting_estimate
+from xidist.zeros import ZeroList, counting_estimate
 from xidist.accuracy import EvalAccuracy
 
 QUAD_ACC = EvalAccuracy(abs_tol=1e-9)
@@ -114,23 +116,25 @@ def test_c06_cf_modulus_bound():
 
 def test_c07_gamma_representation():
     worst = 0.0
+    ts = np.arange(-10.0, 10.01, 1.0)
     for sigma in (0.5, 1.0, 2.0, 5.0):
         ref0 = log_gamma(complex(sigma, 0.0))
-        for t in np.arange(-10.0, 10.01, 1.0):
-            ours = gamma_levy_log(sigma, float(t), QUAD_ACC)
-            ref = log_gamma(complex(sigma, -t)) - ref0
-            worst = max(worst, abs(ours - ref))
+        ours = gamma_levy_log(sigma, ts, QUAD_ACC)
+        ref = np.array([log_gamma(complex(sigma, -t)) - ref0 for t in ts])
+        worst = max(worst, float(np.max(np.abs(ours - ref))))
     report("C07 gamma-representation", worst <= 1e-8, f"max residual {worst:.3e}")
 
 
 def test_c08_prime_measure():
     worst = 0.0
+    ts = np.arange(-10.0, 10.01, 1.0)
     for sigma in (2.0, 3.0):
         z0 = zeta(complex(sigma, 0.0))
-        for t in np.arange(-10.0, 10.01, 1.0):
-            ours = prime_log_ratio(sigma, float(t), BIG_CUT)
-            ref = cmath.log(zeta(complex(sigma, -t)) / z0)
-            worst = max(worst, abs(ours - ref))
+        locs, masses = prime_atoms(sigma, BIG_CUT)
+        atoms = QuasiLevyTriplet(a=0.0, drift=0.0, measure=SignedMeasure(atom_locations=locs, atom_masses=masses))
+        ours = log_cf_from_triplet(atoms, ts)
+        ref = np.array([cmath.log(zeta(complex(sigma, -t)) / z0) for t in ts])
+        worst = max(worst, float(np.max(np.abs(ours - ref))))
     report("C08 prime-measure", worst <= 1e-8, f"max residual {worst:.3e} (p_max=3e7)")
 
 
@@ -143,7 +147,8 @@ def test_c09_zero_factor_modulus_witness(big_zeros):
             g2 = rec.gamma**2
             t = math.sqrt(2.0 * (a2 + g2))
             closed = ((a2 + g2 - t * t) ** 2 + ((2 * sigma - 1) * t) ** 2) / (a2 + g2) ** 2
-            val = abs(cmath.exp(zero_pair_factor_log(sigma, rec.gamma, t))) ** 2
+            one = ZeroList(records=(rec,), t_max=rec.gamma)
+            val = abs(cf_from_zeros(sigma, t, one, 1).value) ** 2
             ok = ok and closed > 1.0
             mismatch = abs(val - closed) / closed
             worst_match = max(worst_match, mismatch)

@@ -27,19 +27,15 @@ from xidist.levy import (
     cf_from_triplet,
     cf_from_zeros,
     cf_xi_star,
-    exp_factor_log,
     gamma_drift,
     gamma_levy_log,
     log_cf_from_triplet,
-    off_line_factor_log,
     prime_atom_tail_bound,
     prime_atoms,
-    prime_log_ratio,
     primes_up_to,
     total_variation_integral,
     xi_star_triplet,
     xi_triplet,
-    zero_pair_factor_log,
     zero_tail_estimate,
 )
 from xidist.specfun import log_gamma, xi, zeta
@@ -49,41 +45,21 @@ GAMMA1 = 14.134725141734694
 CUT = PrimeCutoff(100_000, 40)
 
 
-# -------------------------------------------------------- exp_factor_log
-
-def test_exp_factor_log_zero():
-    assert exp_factor_log(1 + 0j, 0.0) == 0.0
-
-
-def test_exp_factor_log_unit():
-    want = complex(0.5 * math.log(0.5), math.pi / 4)
-    assert abs(exp_factor_log(1 + 0j, 1.0) - want) < 1e-15
+def one_zero(gamma: float) -> ZeroList:
+    """A one-record zero list: ``cf_from_zeros`` over it is a single pair factor."""
+    return ZeroList(records=(ZeroRecord(1, gamma, 1e-9),), t_max=gamma)
 
 
-def test_exp_factor_log_matches_quadrature():
-    alpha, z = 0.3 + 2.0j, 1.7
-
-    def integrand_re(x):
-        return ((cmath.exp(1j * z * x) - 1) * cmath.exp(-alpha * x) / x).real
-
-    def integrand_im(x):
-        return ((cmath.exp(1j * z * x) - 1) * cmath.exp(-alpha * x) / x).imag
-
-    val = complex(
-        quad(integrand_re, 0, 150, limit=800)[0], quad(integrand_im, 0, 150, limit=800)[0]
-    )
-    assert abs(exp_factor_log(alpha, z) - val) < 1e-9
-
-
-def test_exp_factor_log_domain():
-    with pytest.raises(DomainError):
-        exp_factor_log(-1 + 2j, 1.0)
+def prime_atom_triplet(sigma: float, cut: PrimeCutoff) -> QuasiLevyTriplet:
+    """The prime atoms alone: their exponent is the truncated log(zeta(sigma-it)/zeta(sigma))."""
+    locs, masses = prime_atoms(sigma, cut)
+    return QuasiLevyTriplet(a=0.0, drift=0.0, measure=SignedMeasure(atom_locations=locs, atom_masses=masses))
 
 
 # -------------------------------------------------- paired-zero factors
 
 def test_zero_pair_factor_at_zero():
-    assert zero_pair_factor_log(0.75, GAMMA1, 0.0) == 0.0
+    assert cf_from_zeros(0.75, 0.0, one_zero(GAMMA1), 1).value == 1.0
 
 
 def test_zero_pair_factor_matches_signed_measure_integral():
@@ -95,7 +71,7 @@ def test_zero_pair_factor_matches_signed_measure_integral():
 
     re = quad(lambda x: f(x).real, 0, 60, limit=4000)[0]
     im = quad(lambda x: f(x).imag, 0, 60, limit=4000)[0]
-    assert abs(zero_pair_factor_log(sigma, gamma, t) - complex(re, im)) < 1e-8
+    assert abs(cmath.log(cf_from_zeros(sigma, t, one_zero(gamma), 1).value) - complex(re, im)) < 1e-8
 
 
 def test_zero_pair_modulus_witness():
@@ -107,16 +83,16 @@ def test_zero_pair_modulus_witness():
         closed = ((a2 + GAMMA1**2 - t * t) ** 2 + ((2 * sigma - 1) * t) ** 2) / (
             a2 + GAMMA1**2
         ) ** 2
-        val = abs(cmath.exp(zero_pair_factor_log(sigma, GAMMA1, t))) ** 2
+        val = abs(cf_from_zeros(sigma, t, one_zero(GAMMA1), 1).value) ** 2
         assert closed > 1.0
         assert abs(val - closed) <= 1e-10 * closed
 
 
 def test_zero_pair_domain():
     with pytest.raises(DomainError):
-        zero_pair_factor_log(0.5, GAMMA1, 1.0)
-    with pytest.raises(DomainError):
-        zero_pair_factor_log(1.0, -3.0, 1.0)
+        cf_from_zeros(0.5, 1.0, one_zero(GAMMA1), 1)
+    with pytest.raises(ValueError):
+        one_zero(-3.0)
 
 
 # ------------------------------------------------------------ zero product
@@ -171,34 +147,6 @@ def test_cf_from_zeros_needs_one_zero(small_zeros, k):
         cf_from_zeros(2.0, 3.0, small_zeros, k)
 
 
-def test_off_line_four_factor_closed_form():
-    sigma, beta, gamma, t = 1.5, 0.7, 25.0, 2.0
-    got = cmath.exp(off_line_factor_log(sigma, beta, gamma, t))
-    want = 1.0 + 0.0j
-    for off in (sigma - beta, sigma - 1 + beta):
-        for sgn in (+1.0, -1.0):
-            alpha = complex(off, sgn * gamma)
-            want *= (alpha - 1j * t) / alpha
-    assert abs(got - want) < 1e-12
-
-
-def test_off_line_records_enter_product(small_zeros):
-    synthetic = ZeroList(
-        records=small_zeros.records,
-        t_max=small_zeros.t_max,
-        off_line=(ZeroRecord(1, 30.0, 1e-9, beta=0.7),),
-    )
-    with_off = cf_from_zeros(1.5, 2.0, synthetic, 10).value
-    without = cf_from_zeros(1.5, 2.0, small_zeros, 10).value
-    expected_factor = cmath.exp(off_line_factor_log(1.5, 0.7, 30.0, 2.0))
-    assert abs(with_off - without * expected_factor) < 1e-12
-
-
-def test_off_line_domain():
-    with pytest.raises(DomainError):
-        off_line_factor_log(0.9, 0.05, 30.0, 1.0)  # sigma - 1 + beta > 0 fails
-
-
 # ----------------------------------------------------------------- primes
 
 def test_primes_up_to():
@@ -213,20 +161,20 @@ def test_prime_atoms_locations_exceed_half():
 
 
 def test_prime_log_ratio_zero():
-    assert prime_log_ratio(2.0, 0.0, CUT) == 0.0
+    assert log_cf_from_triplet(prime_atom_triplet(2.0, CUT), 0.0) == 0.0
 
 
 def test_prime_log_ratio_against_zeta():
     big = PrimeCutoff(30_000_000, 40)
     for sigma, t in ((2.0, 1.0), (3.0, 7.0)):
-        ours = prime_log_ratio(sigma, t, big)
+        ours = log_cf_from_triplet(prime_atom_triplet(sigma, big), t)
         ref = cmath.log(zeta(complex(sigma, -t)) / zeta(complex(sigma, 0.0)))
         assert abs(ours - ref) <= 1e-8
 
 
 def test_prime_log_ratio_domain():
     with pytest.raises(DomainError):
-        prime_log_ratio(1.0, 1.0, CUT)
+        prime_atoms(1.0, CUT)
 
 
 def test_prime_tail_bound_dominates_measured_tail():
@@ -249,20 +197,42 @@ def test_gamma_drift_frozen():
 
 
 def test_gamma_levy_log_zero():
-    assert gamma_levy_log(2.0, 0.0) == 0.0
+    value = gamma_levy_log(2.0, 0.0)
+    assert isinstance(value, complex) and value == 0.0
+    assert gamma_levy_log(2.0, np.array([[0.0, 1.0]]))[0, 0] == 0.0
 
 
 @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0, 5.0])
 @pytest.mark.parametrize("t", [1.0, 4.0])
 def test_gamma_levy_log_matches_log_gamma(sigma, t):
-    ours = gamma_levy_log(sigma, t)
-    ref = log_gamma(complex(sigma, -t)) - log_gamma(complex(sigma, 0.0))
-    assert abs(ours - ref) <= 1e-8
+    ts = np.array([-t, t])
+    ours = gamma_levy_log(sigma, ts)
+    ref = [log_gamma(complex(sigma, -u)) - log_gamma(complex(sigma, 0.0)) for u in ts]
+    assert ours.shape == ts.shape
+    assert np.max(np.abs(ours - ref)) <= 1e-8
 
 
 def test_gamma_levy_log_domain():
     with pytest.raises(DomainError):
         gamma_levy_log(0.0, 1.0)
+
+
+NAN_GUARDED = [
+    (gamma_drift, ()),
+    (gamma_levy_log, (1.0,)),
+    (xi_triplet, (CUT,)),
+    (xi_star_triplet, (CUT,)),
+    (prime_atoms, (CUT,)),
+    (prime_atom_tail_bound, (CUT,)),
+    (cf_from_zeros, (1.0, one_zero(GAMMA1), 1)),
+]
+
+
+@pytest.mark.parametrize("fn, args", NAN_GUARDED, ids=[fn.__name__ for fn, _ in NAN_GUARDED])
+def test_nan_sigma_is_a_domain_error(fn, args):
+    # each guard must reject NaN before any quadrature or array sizing runs
+    with pytest.raises(DomainError):
+        fn(math.nan, *args)
 
 
 # ---------------------------------------------------------------- triplets
@@ -365,7 +335,7 @@ def test_triplet_uniqueness_probe():
     trs = xi_star_triplet(sigma, CUT)
     for t in (0.5, 2.0, 7.0):
         log_a = log_cf_from_triplet(tr, t)
-        log_b = log_cf_from_triplet(trs, t) - exp_factor_log(complex(sigma - 1.0, 0.0), t)
+        log_b = log_cf_from_triplet(trs, t) - cmath.log((sigma - 1.0) / complex(sigma - 1.0, -t))
         assert abs(log_a - log_b) <= 1e-6
 
 
@@ -441,12 +411,13 @@ def test_zero_product_pair_form_matches_factor_logs(small_zeros, sigma):
     # at sigma = 0.55 and t = sqrt(a^2 + gamma_1^2), 1 + Re w = 0 for the first pair
     a = sigma - 0.5
     t_flip = math.sqrt(a * a + GAMMA1 * GAMMA1)
-    gammas = small_zeros.gammas[:20]
+    gammas = small_zeros.gammas[:20].tolist()
     for t in (-t_flip, GAMMA1 - 1e-3, t_flip - 1e-9, t_flip, t_flip + 1e-9, GAMMA1 + 1e-3, 0.7, 30.0):
-        want = sum(zero_pair_factor_log(sigma, float(g), t) for g in gammas)
+        # the Hadamard pair factors, multiplied out literally
+        want = math.prod((a - 1j * g - 1j * t) * (a + 1j * g - 1j * t) / ((a - 1j * g) * (a + 1j * g)) for g in gammas)
         got = cf_from_zeros(sigma, t, small_zeros, 20).value
         # the exponent difference, modulo 2 pi i
-        assert abs(cmath.log(got * cmath.exp(-want))) <= 1e-12
+        assert abs(cmath.log(got / want)) <= 1e-12
 
 
 # ------------------------------------------------- the one-slot atom-sum memo
@@ -568,7 +539,9 @@ def test_zero_cos_triplet_matches_pair_factor(small_zeros):
         continuous=tuple(ZeroCosPart(gamma=g, offset=sigma - 0.5) for g in gammas)
     )
     tr = QuasiLevyTriplet(a=0.0, drift=0.0, measure=m, truncation_halfwidth=0.0)
-    want = sum(zero_pair_factor_log(sigma, g, t) for g in gammas)
+    a = sigma - 0.5
+    pairs = ((a - 1j * g - 1j * t) * (a + 1j * g - 1j * t) / ((a - 1j * g) * (a + 1j * g)) for g in gammas)
+    want = cmath.log(math.prod(pairs))
     got = log_cf_from_triplet(tr, t)
     assert abs(got - want) < 1e-8
 

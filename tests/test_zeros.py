@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import mpmath as mp
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xidist import zeros
+from xidist import cli, zeros
 from xidist.accuracy import CacheChecksumError, CacheParseError, DomainError, MissedZeroError
 from xidist.specfun import riemann_siegel_theta, z_values
 from xidist.zeros import (
@@ -267,10 +268,6 @@ def test_indices_are_one_based(small_zeros):
     assert [r.index for r in small_zeros.records[:4]] == [1, 2, 3, 4]
 
 
-def test_off_line_empty(small_zeros):
-    assert small_zeros.off_line == ()
-
-
 # ----------------------------------------------------------------- caching
 
 def test_cache_round_trip(tmp_path, small_zeros):
@@ -374,21 +371,44 @@ def test_cache_round_trip_synthetic(tmp_path_factory, gammas):
         assert abs(a.gamma - b.gamma) <= 1e-10 * max(1.0, abs(b.gamma))
 
 
-def test_off_line_records_survive_cache(tmp_path):
-    on = (ZeroRecord(1, 14.134725141734694, 1e-9),)
-    off = (ZeroRecord(1, 30.0, 1e-9, beta=0.75),)
-    zl = ZeroList(records=on, t_max=40.0, off_line=off)
+def test_cache_bytes_are_pinned(tmp_path):
+    # the file format is a contract with existing caches: beta is written as 0.5
+    zl = ZeroList(
+        records=(ZeroRecord(1, 14.134725141734694, 1e-9), ZeroRecord(2, 21.022039638771555, 4e-10)),
+        t_max=25.0,
+    )
     p = tmp_path / "zc.txt"
     save_cache(zl, p)
-    back = load_cache(p)
-    assert len(back.off_line) == 1
-    assert back.off_line[0].beta == 0.75
+    assert hashlib.sha256(p.read_bytes()).hexdigest() == (
+        "e63024c1a8cb216fcd7c59eb65dc2e6b697a9f435e44d7a8243d8bb717ab243c"
+    )
+
+
+@pytest.fixture
+def off_line_cache(tmp_path, small_zeros):
+    """A cache with a valid checksum whose third record (line 4) has beta 0.75."""
+    p = tmp_path / "zc.txt"
+    save_cache(small_zeros, p)
+    lines = p.read_text().splitlines(keepends=True)
+    lines[3] = lines[3].replace(" 0.5\n", " 0.75\n")
+    body = "".join(lines[:-1])
+    p.write_text(body + f"sha256={hashlib.sha256(body.encode()).hexdigest()}\n")
+    return p
+
+
+def test_cache_rejects_off_line_beta(off_line_cache):
+    with pytest.raises(CacheParseError, match="beta 0.75") as err:
+        load_cache(off_line_cache)
+    assert err.value.line == 4
+
+
+def test_cli_exits_3_on_off_line_beta(off_line_cache):
+    argv = ["eval", "--sigma", "2", "--t", "3", "--backend", "zeros", "--K", "1", "--cache", str(off_line_cache)]
+    assert cli.main(argv) == 3
 
 
 def test_zero_record_validation():
     with pytest.raises(ValueError):
         ZeroRecord(index=0, gamma=14.0, bracket_halfwidth=1e-9)
-    with pytest.raises(ValueError):
-        ZeroRecord(index=1, gamma=14.0, bracket_halfwidth=1e-9, beta=1.5)
     with pytest.raises(ValueError):
         ZeroList(records=(ZeroRecord(1, 20.0, 1e-9), ZeroRecord(2, 15.0, 1e-9)), t_max=25.0)
